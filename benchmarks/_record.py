@@ -5,7 +5,7 @@ performance trajectory across PRs.  This helper gives every benchmark module
 one call to persist its headline numbers:
 
     from _record import record
-    record("serving", "pipelined_executor", {"speedup": 1.5, ...})
+    record("serving", "bsgs_matmul", {"rotation_reduction": 4.5, ...})
 
 appends/overwrites one *section* of ``BENCH_<name>.json`` at the repository
 root.  The file is committed so the trajectory lives in history, and CI

@@ -1,6 +1,6 @@
 """Serving benchmark: batched vs sequential private inference throughput.
 
-Three comparisons, mirroring the levels the serving runtime batches at:
+Nine comparisons, mirroring the levels the serving runtime batches at:
 
 1. **Shared-slot HE batches** on the *exact BFV backend*: eight private
    ``X @ W`` requests packed tokens-first into shared ciphertext slots versus
@@ -15,44 +15,37 @@ Three comparisons, mirroring the levels the serving runtime batches at:
    generation and the HGS/FHGS offline phase across requests, versus the
    paper-style fresh-engine-per-sequence baseline.
 
-3. **Pipelined executor vs serial drain** on a mixed multi-model workload
-   over a realized network (paper delay of 2.3 ms per round): the sharded
-   pipeline prepares the offline plans of later engines while earlier
-   batches run their online phases, so the offline phase's wire time
-   overlaps with compute instead of serialising in front of it.  The
-   acceptance bar is 1.2x with bit-identical logits.
-
-4. **BSGS diagonal matmul** at paper dimensions: the rotation-minimal
+3. **BSGS diagonal matmul** at paper dimensions: the rotation-minimal
    kernel (hoisted baby steps, shared giant steps) against the legacy
    offset-enumeration loop in both packing layouts, with tracker-measured
    rotation counts asserted against the closed forms.  The acceptance bar
    is a 3x rotation reduction with bit-identical decrypted results.
 
-5. **FHGS block-diagonal slot sharing**: a 4-request serving batch ships
+4. **FHGS block-diagonal slot sharing**: a 4-request serving batch ships
    one set of cross-term ciphertexts instead of four -- the ~1/k online
    traffic reduction the ROADMAP's slot-sharing item asked for.
 
-6. **Plan-store warm start**: a freshly started serving process installs
+5. **Plan-store warm start**: a freshly started serving process installs
    its engine's :class:`OfflinePlan` from disk instead of re-running the
    offline HE exchange -- zero offline HE operations on the tracker,
    bit-identical logits, and an engine build ≥5x faster than the cold
    offline build (typically far more).
 
-7. **RNS limb arithmetic**: the double-CRT serving path at a >=60-bit
+6. **RNS limb arithmetic**: the double-CRT serving path at a >=60-bit
    two-limb coefficient modulus (illegal under the old 30-bit single-
    modulus ceiling) against the one-limb configuration -- exact results on
    both, tracker-measured NTT transforms equal to the limb-scaled closed
    form ``(3 * input_cts + output_cts) * L`` with zero gap, rotations
    limb-independent.
 
-8. **Kernel tier**: the compiled/multicore HE kernel tier
+7. **Kernel tier**: the compiled/multicore HE kernel tier
    (:mod:`repro.he.kernels`) against the reference numpy path on the same
    exact-backend serving workload at paper dimensions (N = 4096, a 6-limb
    double-CRT basis) -- logits bit-identical, transform/rotation closed
    forms untouched, and a committed >=2x wall-clock floor for the
    self-calibrated fastest tier.
 
-9. **Fault recovery**: the async front door serving the full-inference
+8. **Fault recovery**: the async front door serving the full-inference
    workload under a deterministic :class:`FaultPlan` injecting transient
    executor faults (the issue's 1% per-batch rate plus one guaranteed
    firing) with a :class:`RetryPolicy` -- every request completes with
@@ -60,7 +53,7 @@ Three comparisons, mirroring the levels the serving runtime batches at:
    ``submitted == completed + typed-failed`` closes with zero gap, and
    throughput stays >= 0.8x fault-free.
 
-10. **Replica fleet**: two forked :class:`ReplicaServer` processes behind a
+9. **Replica fleet**: two forked :class:`ReplicaServer` processes behind a
     :class:`FleetRouter` against one in-process front door on a closed-loop
     workload bound by the batching linger window -- the replicas overlap
     their linger waits in parallel, so wall-clock throughput scales with
@@ -105,7 +98,7 @@ from repro.he import (
 )
 from repro.errors import RequestFailed
 from repro.nn import BERT_BASE, TransformerEncoder, scaled_config
-from repro.protocols import PRIMER_F, PRIMER_FPC, NetworkModel, Phase, PlanStore
+from repro.protocols import Phase, PlanStore
 from repro.runtime import (
     AsyncServingRuntime,
     FaultPlan,
@@ -232,84 +225,6 @@ def test_serving_runtime_vs_fresh_engines():
         "latency": latency_percentiles([r.latency_seconds for r in reports]),
     })
     assert batch_seconds < seq_seconds
-
-
-def test_pipelined_executor_vs_serial_drain():
-    """Acceptance: pipelined drain >= 1.2x serial run_pending, bit-identical.
-
-    Mixed multi-model workload: four tiny models, two Primer variants,
-    interleaved arrivals -- so the drain forms batches across several
-    ``(model, variant)`` keys and the pipeline can shard them.  The network
-    is *realized* at the paper's round-trip delay (2.3 ms, Section IV) with
-    a modern link bandwidth: every offline/online message actually occupies
-    the wire.  The serial drain pays each engine's offline exchanges inline;
-    the pipelined executor prepares them on background workers while earlier
-    batches run online, so the offline wire time overlaps with compute.
-    """
-    network = NetworkModel(delay_seconds=2.3e-3, bandwidth_bytes_per_second=500e6)
-    config = scaled_config(
-        BERT_BASE, embed_dim=16, num_heads=2, seq_len=6, vocab_size=40, num_blocks=1
-    )
-    models = {f"m{i}": TransformerEncoder.initialise(config, seed=i) for i in range(4)}
-    rng = np.random.default_rng(7)
-    tokens = [rng.integers(0, 40, size=6) for _ in range(2 * len(models))]
-
-    def submit_all(runtime: ServingRuntime) -> None:
-        for index, t in enumerate(tokens):
-            variant = PRIMER_FPC if index % 2 == 0 else PRIMER_F
-            runtime.submit(f"m{index % len(models)}", t, variant=variant)
-
-    serial = ServingRuntime(models, max_batch_size=4, seed=11, network=network)
-    submit_all(serial)
-    start = time.perf_counter()
-    serial_reports = serial.run_pending()
-    serial_seconds = time.perf_counter() - start
-
-    pipelined = ServingRuntime(
-        models, max_batch_size=4, seed=11, num_workers=4, network=network
-    )
-    submit_all(pipelined)
-    start = time.perf_counter()
-    pipelined_reports = pipelined.run_pending_pipelined()
-    pipelined_seconds = time.perf_counter() - start
-
-    # Bit-identical logits, same report order.
-    assert [r.request_id for r in serial_reports] == [
-        r.request_id for r in pipelined_reports
-    ]
-    for serial_report, pipelined_report in zip(serial_reports, pipelined_reports, strict=True):
-        assert np.array_equal(serial_report.result, pipelined_report.result)
-
-    n = len(tokens)
-    speedup = serial_seconds / pipelined_seconds
-    print(f"\nPipelined executor vs serial drain (mixed {len(models)}-model workload)\n")
-    print(format_table(
-        ["Path", "Wall seconds", "Requests/s"],
-        [
-            ["serial run_pending()", f"{serial_seconds:.2f}", f"{n / serial_seconds:.2f}"],
-            ["pipelined (4 workers)", f"{pipelined_seconds:.2f}", f"{n / pipelined_seconds:.2f}"],
-            ["speedup", "", f"{speedup:.2f}x"],
-        ],
-    ))
-    record("serving", "pipelined_executor", {
-        "num_models": len(models),
-        "num_requests": n,
-        "num_workers": 4,
-        "batch_sizes": sorted({r.batch_size for r in pipelined_reports}),
-        "serial_seconds": serial_seconds,
-        "pipelined_seconds": pipelined_seconds,
-        "serial_requests_per_second": n / serial_seconds,
-        "pipelined_requests_per_second": n / pipelined_seconds,
-        "throughput_speedup": speedup,
-        "latency": latency_percentiles(
-            [r.latency_seconds for r in pipelined_reports]
-        ),
-        "network": {
-            "delay_seconds": network.delay_seconds,
-            "bandwidth_bytes_per_second": network.bandwidth_bytes_per_second,
-        },
-    })
-    assert speedup >= 1.2
 
 
 def test_bsgs_rotation_reduction():

@@ -6,10 +6,9 @@ CI runs it twice: in the blocking tier-1 job against the *committed*
 ``BENCH_serving.json`` (a PR cannot merge numbers below a floor), and
 again after the tier-2 benchmark job against freshly measured numbers
 (advisory, since wall-clock speedups are runner-dependent).  Either way a
-regression of the cached-engine, pipelined, BSGS-rotation,
-FHGS-slot-sharing, plan-store-warm-start, NTT-domain-residency,
-kernel-tier, fault-recovery or replica-fleet wins is caught before it
-lands silently.
+regression of the cached-engine, BSGS-rotation, FHGS-slot-sharing,
+plan-store-warm-start, NTT-domain-residency, kernel-tier, fault-recovery
+or replica-fleet wins is caught before it lands silently.
 
 Run with:  python benchmarks/check_regressions.py [path-to-BENCH_serving.json]
 """
@@ -21,12 +20,11 @@ import sys
 from pathlib import Path
 
 #: ``section.metric`` -> minimum acceptable value.  These are deliberately
-#: below the typically measured numbers (≈8x, ≈4x, ≈1.4x, 4.5x, 4.0x, ≈20x+)
+#: below the typically measured numbers (≈8x, ≈4x, 4.5x, 4.0x, ≈20x+)
 #: so the gate only trips on real regressions, not benchmark noise.
 FLOORS: dict[str, float] = {
     "shared_slot_exact_bfv.throughput_speedup": 3.0,
     "cached_engine_serving.throughput_speedup": 3.0,
-    "pipelined_executor.throughput_speedup": 1.2,
     "bsgs_matmul.rotation_reduction": 3.0,
     "fhgs_slot_sharing.cross_term_ciphertext_reduction": 3.0,
     "plan_store_warm_start.warm_start_speedup": 5.0,

@@ -11,11 +11,7 @@ Shows the layers of the serving runtime:
 2. Eight private ``X @ W`` requests are packed tokens-first into *shared*
    ciphertext slots on the exact BFV backend: the batch needs one ciphertext
    per input feature, the same as a single request would.
-3. A mixed multi-model workload over a realized network drains through the
-   *pipelined executor*: offline plans are prepared on background workers
-   while earlier batches run their online phases, beating the serial drain
-   with bit-identical logits.
-4. The *async front door*: requests are submitted while earlier batches are
+3. The *async front door*: requests are submitted while earlier batches are
    still executing -- each ``submit()`` returns a handle whose ``result()``
    blocks until that request's report is ready -- and a second process-style
    runtime *warm-starts* its engine from the on-disk plan store, skipping
@@ -34,7 +30,7 @@ import numpy as np
 from repro.costmodel import format_table
 from repro.he import ExactBFVBackend, serving_parameters
 from repro.nn import BERT_BASE, TransformerEncoder, scaled_config
-from repro.protocols import PRIMER_F, PRIMER_FPC, NetworkModel, Phase
+from repro.protocols import PRIMER_F, PRIMER_FPC, Phase
 from repro.runtime import (
     AsyncServingRuntime,
     ServingRuntime,
@@ -117,52 +113,6 @@ def shared_slot_demo() -> None:
     print(f"All results exact     : {correct}")
 
 
-def pipelined_demo() -> None:
-    """Mixed multi-model drain: pipelined executor vs serial run_pending."""
-    network = NetworkModel(delay_seconds=2.3e-3, bandwidth_bytes_per_second=500e6)
-    config = scaled_config(
-        BERT_BASE, embed_dim=16, num_heads=2, seq_len=6, vocab_size=40, num_blocks=1
-    )
-    models = {f"model-{i}": TransformerEncoder.initialise(config, seed=i) for i in range(3)}
-    rng = np.random.default_rng(1)
-    tokens = [rng.integers(0, 40, size=6) for _ in range(6)]
-
-    print("\nMixed 3-model workload over a realized network "
-          f"({network.delay_seconds * 1e3:.1f} ms/round) ...")
-
-    def submit_all(runtime: ServingRuntime) -> None:
-        for index, t in enumerate(tokens):
-            runtime.submit(f"model-{index % 3}", t)
-
-    serial = ServingRuntime(models, max_batch_size=2, seed=11, network=network)
-    submit_all(serial)
-    start = time.perf_counter()
-    serial_reports = serial.run_pending()
-    serial_wall = time.perf_counter() - start
-
-    pipelined = ServingRuntime(models, max_batch_size=2, seed=11, num_workers=3, network=network)
-    submit_all(pipelined)
-    start = time.perf_counter()
-    pipelined_reports = pipelined.run_pending_pipelined()
-    pipelined_wall = time.perf_counter() - start
-
-    identical = all(
-        np.array_equal(a.result, b.result)
-        for a, b in zip(serial_reports, pipelined_reports, strict=True)
-    )
-    workers = sorted({r.worker for r in pipelined_reports})
-    print(format_table(
-        ["Path", "Wall seconds", "Requests/s"],
-        [
-            ["serial drain", f"{serial_wall:.2f}", f"{len(tokens) / serial_wall:.2f}"],
-            ["pipelined drain", f"{pipelined_wall:.2f}", f"{len(tokens) / pipelined_wall:.2f}"],
-            ["speedup", "", f"{serial_wall / pipelined_wall:.2f}x"],
-        ],
-    ))
-    print(f"Shard workers used    : {', '.join(workers)}")
-    print(f"Logits bit-identical  : {identical}")
-
-
 def front_door_demo() -> None:
     """Async submission over a plan-store-backed runtime, then a warm start."""
     config = scaled_config(
@@ -208,7 +158,6 @@ def front_door_demo() -> None:
 def main() -> None:
     full_inference_demo()
     shared_slot_demo()
-    pipelined_demo()
     front_door_demo()
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
 from ..core import REPO_ROOT, Finding, ParsedModule, Rule, register
 

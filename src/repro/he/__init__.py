@@ -45,14 +45,12 @@ from .ntt import (
     Domain,
     NTTContext,
     batch_ntt,
-    cached_ntt_parameters,
     clear_ntt_cache,
     find_ntt_prime,
     find_rns_primes,
     get_ntt_context,
     is_prime,
     primitive_root,
-    warm_ntt_cache,
 )
 from .packing import (
     PackedInput,
@@ -112,7 +110,6 @@ __all__ = [
     "bsgs_matmul",
     "bsgs_rotation_count",
     "bsgs_transform_count",
-    "cached_ntt_parameters",
     "calibrate_bsgs_costs",
     "calibration_snapshot",
     "ciphertext_count",
@@ -143,5 +140,4 @@ __all__ = [
     "tier_scope",
     "toy_parameters",
     "unpack_matrix",
-    "warm_ntt_cache",
 ]

@@ -1,4 +1,4 @@
-"""Runtime-selectable HE kernel tiers: reference, compiled, multicore, numba.
+"""Runtime-selectable HE kernel tiers: reference, compiled, multicore.
 
 PR 5/PR 6 made the hot path algorithmically minimal -- transform and rotation
 counts equal their closed forms exactly -- so the remaining wall clock lives
@@ -8,7 +8,7 @@ butterfly stage, and the limb-major ``(L, B, N)`` RNS layout of
 :mod:`repro.he.rns` is an embarrassingly parallel axis nothing exploits.
 This module is the drop-in kernel substitution layer (SEAL's HEXL pattern):
 a :class:`KernelTier` interface over the batch forward/inverse NTT, the
-pointwise product and the fused multiply-accumulate, with four
+pointwise product and the fused multiply-accumulate, with three
 implementations selected at runtime and each proven bit-identical to
 ``reference`` by the property-test harness:
 
@@ -27,9 +27,6 @@ implementations selected at runtime and each proven bit-identical to
     the chunks genuinely run in parallel; on a single-core host this
     measures within noise of ``compiled`` and the self-calibration picks
     accordingly.
-``numba``
-    Optionally, jitted butterflies -- auto-detected, skipped cleanly when
-    the ``numba`` import fails (it is not a project dependency).
 
 Bit-identity argument: every tier consumes the *same* precomputed Shoup
 twiddle tables and performs the same sequence of exact modular operations;
@@ -71,7 +68,6 @@ __all__ = [
     "tier_scope",
     "stacked_ntt",
     "ntt_batch",
-    "warm_tier",
     "calibration_snapshot",
     "fastest_tier_name",
     "clear_kernel_state",
@@ -294,7 +290,7 @@ class _PackedTables:
     """The NTT context's Shoup tables, contiguous and concatenated for C.
 
     The numpy reference keeps one ``(twiddle, shoup)`` pair per butterfly
-    stage; the C/numba kernels index one flat table per direction with a
+    stage; the C kernels index one flat table per direction with a
     running stage offset, so the per-stage arrays are concatenated once per
     context (``n - 1`` entries total) and every array is made C-contiguous
     (``forward_batch`` outputs, in particular, carry non-trivial strides).
@@ -361,7 +357,7 @@ class KernelTier:
         return None
 
     def warm(self, ctx) -> None:
-        """Pre-build any per-context state (worker-pool initialisers)."""
+        """Pre-build any per-context state (calibration warms every tier first)."""
 
     # ``arr`` is a validated (B, N) int64 array; returns canonical residues.
     def ntt_batch(self, ctx, arr: np.ndarray, inverse: bool) -> np.ndarray:
@@ -482,8 +478,8 @@ _pool_pid = None
 def _worker_pool():
     global _pool, _pool_pid
     with _pool_lock:
-        # The pid check makes the pool fork-safe: a forked worker process
-        # (the pipelined drain's offline-prepare pool) inherits ``_pool``
+        # The pid check makes the pool fork-safe: a forked child (a fleet
+        # replica started by ``spawn_replica_process``) inherits ``_pool``
         # non-None but none of its threads, so submitting to it would hang
         # forever.  A child therefore builds its own fresh pool.
         if _pool is None or _pool_pid != os.getpid():
@@ -548,139 +544,12 @@ class _MulticoreTier(_CompiledTier):
         return self.stacked_ntt([ctx], arr[None, ...], inverse)[0]
 
 
-class _NumbaTier(KernelTier):
-    """Jitted butterflies -- auto-detected, skipped cleanly without numba."""
-
-    name = "numba"
-    fused = True
-
-    def __init__(self) -> None:
-        self._kernels = None
-        self._error: str | None = None
-        self._lock = threading.Lock()
-
-    def _ensure(self):
-        with self._lock:
-            if self._kernels is None and self._error is None:
-                try:
-                    self._kernels = _build_numba_kernels()
-                except Exception as error:
-                    self._error = f"{type(error).__name__}: {error}"
-            return self._kernels
-
-    @property
-    def available(self) -> bool:
-        return self._ensure() is not None
-
-    def unavailable_reason(self) -> str | None:
-        self._ensure()
-        return self._error
-
-    def warm(self, ctx) -> None:
-        if self._ensure() is not None:
-            _packed_tables(ctx)
-            probe = np.zeros((1, ctx.ring_degree), dtype=np.int64)
-            self.ntt_batch(ctx, probe, inverse=False)  # trigger the jit
-
-    def ntt_batch(self, ctx, arr: np.ndarray, inverse: bool) -> np.ndarray:
-        forward_jit, inverse_jit = self._ensure()
-        tables = _packed_tables(ctx)
-        q = np.uint64(tables.q)
-        reduced = np.ascontiguousarray(arr % tables.q).astype(np.uint64)
-        out = np.empty(arr.shape, dtype=np.int64)
-        work = np.empty(tables.n, dtype=np.uint64)
-        if inverse:
-            inverse_jit(
-                reduced, out, tables.n, q, tables.scale_w, tables.scale_ws,
-                tables.istage_w, tables.istage_ws, tables.bitrev, work,
-            )
-        else:
-            forward_jit(
-                reduced, out, tables.n, q, tables.twist_w, tables.twist_ws,
-                tables.stage_w, tables.stage_ws, tables.bitrev, work,
-            )
-        return out
-
-
-def _build_numba_kernels():
-    import numba
-
-    shift = np.uint64(_SHOUP_SHIFT)
-
-    @numba.njit(nogil=True, cache=False)
-    def forward(reduced, out, n, q, twist_w, twist_ws, stage_w, stage_ws,
-                bitrev, work):
-        two_q = q + q
-        for r in range(reduced.shape[0]):
-            for i in range(n):
-                s = bitrev[i]
-                a = reduced[r, s]
-                quot = (a * twist_ws[s]) >> shift
-                work[i] = a * twist_w[s] - quot * q
-            length = 2
-            toff = 0
-            while length <= n:
-                half = length // 2
-                blk = 0
-                while blk < n:
-                    for j in range(half):
-                        a = work[blk + j]
-                        if a >= two_q:
-                            a -= two_q
-                        b = work[blk + half + j]
-                        quot = (b * stage_ws[toff + j]) >> shift
-                        t = b * stage_w[toff + j] - quot * q
-                        work[blk + j] = a + t
-                        work[blk + half + j] = a + two_q - t
-                    blk += length
-                toff += half
-                length *= 2
-            for i in range(n):
-                out[r, i] = np.int64(work[i] % q)
-
-    @numba.njit(nogil=True, cache=False)
-    def inverse(reduced, out, n, q, scale_w, scale_ws, stage_w, stage_ws,
-                bitrev, work):
-        two_q = q + q
-        for r in range(reduced.shape[0]):
-            for i in range(n):
-                work[i] = reduced[r, bitrev[i]]
-            length = 2
-            toff = 0
-            while length <= n:
-                half = length // 2
-                blk = 0
-                while blk < n:
-                    for j in range(half):
-                        a = work[blk + j]
-                        if a >= two_q:
-                            a -= two_q
-                        b = work[blk + half + j]
-                        quot = (b * stage_ws[toff + j]) >> shift
-                        t = b * stage_w[toff + j] - quot * q
-                        work[blk + j] = a + t
-                        work[blk + half + j] = a + two_q - t
-                    blk += length
-                toff += half
-                length *= 2
-            for i in range(n):
-                a = work[i] % q
-                quot = (a * scale_ws[i]) >> shift
-                t = a * scale_w[i] - quot * q
-                if t >= q:
-                    t -= q
-                out[r, i] = np.int64(t)
-
-    return forward, inverse
-
-
 # -- registry + selection ----------------------------------------------------
 
 _TIERS: dict[str, KernelTier] = {
     "reference": _ReferenceTier(),
     "compiled": _CompiledTier(),
     "multicore": _MulticoreTier(),
-    "numba": _NumbaTier(),
 }
 
 #: env var consulted on every resolution (so tests can monkeypatch it).
@@ -946,8 +815,3 @@ def ntt_batch(
         tier_name, "ntt_batch",
         lambda tier: tier.ntt_batch(ctx, rows, inverse=inverse),
     )
-
-
-def warm_tier(ctx, kernel_tier: str | None = None) -> None:
-    """Warm the active tier's per-context state (tables, compiled library)."""
-    active_tier(kernel_tier).warm(ctx)

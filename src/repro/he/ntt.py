@@ -31,10 +31,7 @@ Twiddle/psi tables are expensive to build (a primitive-root search plus
 :func:`get_ntt_context`.  The cache is *bounded* (``maxsize=64``) so a
 long-lived serving process that cycles through many parameter sets cannot
 grow it without limit, and :func:`clear_ntt_cache` releases the tables
-explicitly.  :func:`warm_ntt_cache` pre-builds contexts for a list of
-``(N, q)`` pairs -- worker processes of the pipelined serving executor call
-it once at start-up so they never rebuild twiddle tables per batch.
-:func:`batch_ntt` is the module-level entry point used by
+explicitly.  :func:`batch_ntt` is the module-level entry point used by
 :mod:`repro.he.bfv` and the serving runtime.
 """
 
@@ -59,8 +56,6 @@ __all__ = [
     "NTTContext",
     "get_ntt_context",
     "clear_ntt_cache",
-    "cached_ntt_parameters",
-    "warm_ntt_cache",
     "batch_ntt",
 ]
 
@@ -448,14 +443,14 @@ class NTTContext:
 
 
 #: Bound on cached contexts: enough for every parameter set a serving
-#: process realistically cycles through, while keeping a long-lived worker's
-#: table memory finite.
+#: process realistically cycles through, while keeping a long-lived
+#: process's table memory finite.
 _NTT_CACHE_SIZE = 64
 
 #: The single LRU store behind :func:`get_ntt_context` -- one structure
-#: provides the bound, the warm-parameter listing and :func:`clear_ntt_cache`.
-#: Guarded by ``_cache_lock``: contexts are looked up concurrently from the
-#: engine-cache prefetch and shard-worker threads.
+#: provides the bound and :func:`clear_ntt_cache`.  Guarded by
+#: ``_cache_lock``: contexts are looked up concurrently from the front
+#: door's drain thread and its callers' threads.
 _context_cache: OrderedDict[tuple[int, int], NTTContext] = OrderedDict()
 _cache_lock = threading.Lock()
 
@@ -492,34 +487,6 @@ def clear_ntt_cache() -> None:
     """Drop every cached :class:`NTTContext` (long-lived serving processes)."""
     with _cache_lock:
         _context_cache.clear()
-
-
-def cached_ntt_parameters() -> list[tuple[int, int]]:
-    """The ``(N, q)`` pairs whose tables are currently warm, oldest first."""
-    with _cache_lock:
-        return list(_context_cache)
-
-
-def warm_ntt_cache(
-    parameter_pairs: list[tuple[int, int]] | None = None,
-    *,
-    kernel_tier: str | None = None,
-) -> int:
-    """Pre-build NTT contexts for ``parameter_pairs`` and return how many.
-
-    Called by pipelined-serving worker initialisers so that a freshly
-    spawned worker process builds its twiddle tables once at start-up
-    instead of once per batch (under ``fork`` the parent's warm tables are
-    inherited and this is a cache hit).  The active kernel tier's state is
-    warmed alongside the tables -- compiled-library load, packed twiddle
-    layouts, jit specialization -- so the first pipelined batch does not pay
-    tier initialisation inside a worker.
-    """
-    pairs = parameter_pairs if parameter_pairs is not None else cached_ntt_parameters()
-    for ring_degree, modulus in pairs:
-        context = get_ntt_context(ring_degree, modulus)
-        _kernels.warm_tier(context, kernel_tier)
-    return len(pairs)
 
 
 def batch_ntt(

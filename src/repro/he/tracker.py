@@ -53,11 +53,8 @@ class OperationTracker:
     request_bytes: dict[str, int] = field(default_factory=dict)
     #: per-phase attribution ("offline"/"online"), set by the protocol engine
     phase_counts: dict[str, Counter] = field(default_factory=dict)
-    #: per-worker attribution ("worker-0", ...), set by the serving executor
-    worker_counts: dict[str, Counter] = field(default_factory=dict)
     _current_request: str | None = field(default=None, repr=False)
     _current_phase: str | None = field(default=None, repr=False)
-    _current_worker: str | None = field(default=None, repr=False)
 
     def record(self, operation: str, *, count: int = 1, bytes_moved: int = 0) -> None:
         """Record ``count`` occurrences of ``operation``."""
@@ -71,8 +68,6 @@ class OperationTracker:
             )
         if self._current_phase is not None:
             self.phase_counts.setdefault(self._current_phase, Counter())[operation] += count
-        if self._current_worker is not None:
-            self.worker_counts.setdefault(self._current_worker, Counter())[operation] += count
 
     def count(self, operation: str) -> int:
         """Number of recorded occurrences of ``operation``."""
@@ -83,7 +78,7 @@ class OperationTracker:
         """Charge NTT domain crossings (per transformed polynomial).
 
         Flows through :meth:`record`, so transforms inherit the active
-        request/phase/worker attribution like every other operation -- the
+        request/phase attribution like every other operation -- the
         evaluation-domain residency win is attributable per request and per
         phase from the same counters.
         """
@@ -123,7 +118,7 @@ class OperationTracker:
         """Plain-dict copy of one request's operation counts."""
         return dict(self.request_counts.get(request_id, Counter()))
 
-    # -- per-phase / per-worker attribution --------------------------------
+    # -- per-phase attribution ---------------------------------------------
     def set_phase(self, phase: str | None) -> None:
         """Attribute subsequent operations to a protocol phase (None to stop).
 
@@ -133,21 +128,9 @@ class OperationTracker:
         """
         self._current_phase = phase
 
-    def set_worker(self, worker: str | None) -> None:
-        """Attribute subsequent operations to a serving worker (None to stop)."""
-        self._current_worker = worker
-
     def phase_snapshot(self, phase: str) -> dict[str, int]:
         """Plain-dict copy of one phase's operation counts."""
         return dict(self.phase_counts.get(phase, Counter()))
-
-    def worker_snapshot(self, worker: str) -> dict[str, int]:
-        """Plain-dict copy of one worker's operation counts."""
-        return dict(self.worker_counts.get(worker, Counter()))
-
-    def workers(self) -> list[str]:
-        """Worker ids that have operations attributed to them."""
-        return list(self.worker_counts)
 
     def requests(self) -> list[str]:
         """Request ids that have operations attributed to them."""
@@ -161,21 +144,6 @@ class OperationTracker:
         return {op: count for op, count in shared.items() if count}
 
     # -- bookkeeping ---------------------------------------------------------
-    def merge(self, other: OperationTracker) -> None:
-        """Fold another tracker's counts into this one."""
-        self.counts.update(other.counts)
-        self.bytes_moved += other.bytes_moved
-        for request_id, per_request in other.request_counts.items():
-            self.request_counts.setdefault(request_id, Counter()).update(per_request)
-            self.request_bytes[request_id] = (
-                self.request_bytes.get(request_id, 0)
-                + other.request_bytes.get(request_id, 0)
-            )
-        for phase, per_phase in other.phase_counts.items():
-            self.phase_counts.setdefault(phase, Counter()).update(per_phase)
-        for worker, per_worker in other.worker_counts.items():
-            self.worker_counts.setdefault(worker, Counter()).update(per_worker)
-
     def reset(self) -> None:
         """Clear all recorded counts."""
         self.counts.clear()
@@ -183,7 +151,6 @@ class OperationTracker:
         self.request_counts.clear()
         self.request_bytes.clear()
         self.phase_counts.clear()
-        self.worker_counts.clear()
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of the counts (stable for assertions/reports)."""

@@ -40,9 +40,6 @@ class Message:
     description: str = ""
     #: serving-runtime request this message belongs to (None for shared setup)
     request: str | None = None
-    #: serving worker that executed the sending protocol step (None outside
-    #: the sharded executor)
-    worker: str | None = None
 
 
 @dataclass(frozen=True)
@@ -66,16 +63,16 @@ class Channel:
     #: when True, every ``send`` *waits out* the network model's transfer
     #: time instead of only recording it -- the serving runtime uses this to
     #: emulate the paper's two-instance deployment, where the offline
-    #: phase's many rounds genuinely occupy the wire (and a pipelined
-    #: executor can overlap them with compute)
+    #: phase's many rounds genuinely occupy the wire
     realize_network: bool = False
     _current_step: str = "unlabelled"
     _current_phase: Phase = Phase.ONLINE
     _current_request: str | None = None
-    _current_worker: str | None = None
-    #: incremental per-(request, phase) [bytes, rounds] so per-request
-    #: reporting stays O(1) as the message log grows over a serving run
+    #: incremental per-(request, phase) and per-phase [bytes, rounds], so
+    #: per-request and per-phase reporting stay O(1) as the message log
+    #: grows over a serving run
     _request_totals: dict = field(default_factory=dict, repr=False)
+    _phase_totals: dict = field(default_factory=dict, repr=False)
 
     # -- step/phase labelling ------------------------------------------------
     def set_context(self, *, step: str | None = None, phase: Phase | None = None) -> None:
@@ -93,14 +90,6 @@ class Channel:
         report an exact communication breakdown per request.
         """
         self._current_request = request_id
-
-    def set_worker(self, worker: str | None) -> None:
-        """Attribute subsequently sent messages to a serving worker.
-
-        Set by the sharded executor around each batch it runs, so the wire
-        traffic of a multi-worker drain can be broken down per worker.
-        """
-        self._current_worker = worker
 
     # -- sending -------------------------------------------------------------
     def send(
@@ -124,9 +113,11 @@ class Channel:
             step=step if step is not None else self._current_step,
             description=description,
             request=self._current_request,
-            worker=self._current_worker,
         )
         self.messages.append(message)
+        totals = self._phase_totals.setdefault(message.phase, [0, 0])
+        totals[0] += message.num_bytes
+        totals[1] += 1
         if message.request is not None:
             totals = self._request_totals.setdefault((message.request, message.phase), [0, 0])
             totals[0] += message.num_bytes
@@ -134,11 +125,7 @@ class Channel:
 
     # -- aggregation -----------------------------------------------------------
     def _filtered(
-        self,
-        phase: Phase | None,
-        step: str | None,
-        request: str | None,
-        worker: str | None = None,
+        self, phase: Phase | None, step: str | None, request: str | None
     ) -> list[Message]:
         return [
             m
@@ -146,14 +133,19 @@ class Channel:
             if (phase is None or m.phase is phase)
             and (step is None or m.step == step)
             and (request is None or m.request == request)
-            and (worker is None or m.worker == worker)
         ]
 
-    def _request_total(self, request: str, phase: Phase | None, index: int) -> int:
+    def _running_total(self, request: str | None, phase: Phase | None, index: int) -> int:
+        """``index`` 0 (bytes) or 1 (rounds) of the incremental totals."""
+        if request is None:
+            totals = self._phase_totals
+            if phase is None:
+                return sum(pair[index] for pair in totals.values())
+            return totals.get(phase, (0, 0))[index]
         if phase is None:
             return sum(
-                totals[index]
-                for (tagged, _), totals in self._request_totals.items()
+                pair[index]
+                for (tagged, _), pair in self._request_totals.items()
                 if tagged == request
             )
         return self._request_totals.get((request, phase), (0, 0))[index]
@@ -163,26 +155,24 @@ class Channel:
         phase: Phase | None = None,
         step: str | None = None,
         request: str | None = None,
-        worker: str | None = None,
     ) -> int:
-        """Total bytes sent, optionally filtered by phase/step/request/worker."""
-        if request is not None and step is None and worker is None:
-            # O(1) incremental path: per-request reporting must not rescan
-            # the whole (ever-growing) message log of a serving run.
-            return self._request_total(request, phase, 0)
-        return sum(m.num_bytes for m in self._filtered(phase, step, request, worker))
+        """Total bytes sent, optionally filtered by phase/step/request."""
+        if step is None:
+            # O(1) incremental path: per-request and per-phase reporting
+            # must not rescan the whole (ever-growing) message log.
+            return self._running_total(request, phase, 0)
+        return sum(m.num_bytes for m in self._filtered(phase, step, request))
 
     def round_count(
         self,
         phase: Phase | None = None,
         step: str | None = None,
         request: str | None = None,
-        worker: str | None = None,
     ) -> int:
         """Number of interactions (messages), optionally filtered."""
-        if request is not None and step is None and worker is None:
-            return self._request_total(request, phase, 1)
-        return len(self._filtered(phase, step, request, worker))
+        if step is None:
+            return self._running_total(request, phase, 1)
+        return len(self._filtered(phase, step, request))
 
     def requests(self) -> list[str]:
         """Distinct request tags seen so far, in first-appearance order."""
@@ -190,14 +180,6 @@ class Channel:
         for message in self.messages:
             if message.request is not None and message.request not in seen:
                 seen.append(message.request)
-        return seen
-
-    def workers(self) -> list[str]:
-        """Distinct worker tags seen so far, in first-appearance order."""
-        seen: list[str] = []
-        for message in self.messages:
-            if message.worker is not None and message.worker not in seen:
-                seen.append(message.worker)
         return seen
 
     def network_time(self, phase: Phase | None = None, step: str | None = None) -> float:
@@ -218,3 +200,4 @@ class Channel:
         """Clear the message log."""
         self.messages.clear()
         self._request_totals.clear()
+        self._phase_totals.clear()

@@ -20,9 +20,9 @@ protocol module now splits its old ``offline()`` into
 existing callers are unchanged.  At the engine level,
 :meth:`~repro.protocols.primer.PrivateTransformerInference.prepare` gathers
 one plan per named module into an :class:`OfflinePlan`, which the serving
-executor can build on a background worker, hand between threads, or cache --
-the pipelined runtime overlaps batch N+1's ``prepare()`` with batch N's
-online execution precisely because the plan is a plain immutable artifact.
+runtime caches with its engine and persists across processes through the
+plan store -- possible precisely because the plan is a plain immutable
+artifact.
 
 Plan layout
 -----------
@@ -168,8 +168,8 @@ class OfflinePlan:
 
     def __reduce__(self):
         # MappingProxyType does not pickle; rebuild from a plain dict so a
-        # plan can cross process boundaries (the pipelined executor prepares
-        # plans in worker processes).
+        # plan can cross process boundaries (the plan store pickles plans to
+        # disk for later processes).
         return (OfflinePlan, (self.variant, self.phase, dict(self.modules)))
 
     def __len__(self) -> int:

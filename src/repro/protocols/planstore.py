@@ -155,7 +155,7 @@ class PlanStore:
     """Directory-backed store of serialized offline plans.
 
     Writes are atomic (temp file + ``os.replace``), so a concurrent reader --
-    another serving process sharing the directory, or a prefetch racing a
+    another serving process sharing the directory, or another thread's
     build -- never observes a partially written entry.
 
     ``max_entries`` / ``max_bytes`` (``None`` = unbounded, the historical

@@ -3,9 +3,9 @@
 Ties models, protocols, cost model and data together for the paper-table
 experiments (:mod:`repro.runtime.evaluation`) and serves many concurrent
 inference requests over shared cryptographic state -- batch formation under
-pluggable policies (:mod:`repro.runtime.scheduler`), serial and pipelined
-execution (:mod:`repro.runtime.executor`), the
-:class:`~repro.runtime.serving.ServingRuntime` façade over both, and the
+pluggable policies (:mod:`repro.runtime.scheduler`), batch execution
+(:mod:`repro.runtime.executor`), the
+:class:`~repro.runtime.serving.ServingRuntime` façade over it, and the
 continuous-drain :class:`~repro.runtime.frontdoor.AsyncServingRuntime`
 front door (submit while a drain is in flight; futures per request).
 Networked serving puts a versioned wire protocol on the front door
@@ -24,8 +24,6 @@ from .executor import (
     BatchExecutor,
     EngineCache,
     EngineCacheStats,
-    EngineShardMap,
-    PipelinedExecutor,
     RequestReport,
 )
 from .faults import (
@@ -96,7 +94,6 @@ __all__ = [
     "DeadlinePolicy",
     "EngineCache",
     "EngineCacheStats",
-    "EngineShardMap",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -105,7 +102,6 @@ __all__ = [
     "FleetHandle",
     "FleetRouter",
     "InferenceRequest",
-    "PipelinedExecutor",
     "ReplicaProcessHandle",
     "ReplicaServer",
     "RequestHandle",

@@ -1,4 +1,4 @@
-"""Pipelined execution engine behind the batch-serving runtime.
+"""Execution engine behind the batch-serving runtime.
 
 This module is the execution half of what used to be the ``serving.py``
 monolith, split along the paper's own offline/online axis:
@@ -7,58 +7,39 @@ monolith, split along the paper's own offline/online axis:
   :class:`~repro.protocols.primer.PrivateTransformerInference` engine per
   ``(model, variant)`` key.  Engines are built through the explicit
   ``prepare()`` → :class:`~repro.protocols.plan.OfflinePlan` → ``install()``
-  split, so the whole offline phase is a schedulable artifact that can be
-  produced on a background worker.
-* :class:`EngineShardMap` -- a stable key → worker assignment (least-loaded,
-  first-seen), so distinct ``(model, variant)`` keys run on distinct
-  workers and one hot model cannot block another's traffic.
+  split, so the whole offline phase is one artifact that the persistent
+  plan store can keep across processes.
+* :class:`LinearServingPath` -- the shared backend, channel and cached
+  NTT-form diagonal plans of the slot-sharing linear path.
 * :class:`BatchExecutor` -- runs one batch (full-inference or shared-slot
-  linear) with per-request channel/tracker attribution.  This is the serial
-  engine; ``ServingRuntime.run_pending()`` drains through it batch by batch,
-  behaviour-identical to the pre-split runtime.
-* :class:`PipelinedExecutor` -- the overlapped drain: offline preparation of
-  the engines that *later* batches need runs on a prepare pool while
-  *earlier* batches execute their online phases on sharded workers.  Every
-  engine is confined to its shard worker (its backend, tracker, channel and
-  sharing state are never touched by two threads), linear batches serialise
-  on the shared linear backend's lock, and per-key FIFO order is preserved
-  because each shard executes its batches in formation order -- which is why
-  the pipelined drain is bit-identical to the serial one (asserted for all
-  four Primer variants in the test-suite).
+  linear) with per-request channel/tracker attribution.
+  ``ServingRuntime.run_pending()`` and the async front door's drain loop
+  both execute through it batch by batch.  Process-level parallelism is
+  the replica fleet's job (:mod:`repro.runtime.fleet`), one runtime per
+  process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
 
-from ..errors import EngineQuarantined, ProtocolError, ShapeError, TransientFault
+from ..errors import EngineQuarantined, ProtocolError, ShapeError
 from ..he.backend import HEBackend
 from ..he.bsgs import BSGSMatmulPlan, bsgs_geometry, prepare_bsgs_plan
 from ..he.matmul import bsgs_kernel_fits, encrypted_batch_matmul
-from ..he.ntt import cached_ntt_parameters, warm_ntt_cache
 from ..he.simulated import SimulatedHEBackend
 from ..nn.transformer import TransformerEncoder
 from ..protocols.channel import Channel, NetworkModel, Phase
 from ..protocols.formats import protocol_he_parameters
 from ..protocols.planstore import PlanStore
 from ..protocols.primer import PrimerVariant, PrivateTransformerInference
-from .faults import (
-    SITE_ENGINE_BUILD,
-    SITE_OFFLINE_PREPARE,
-    SITE_ONLINE_EXECUTE,
-    SITE_WORKER_SHARD,
-    CircuitBreaker,
-    maybe_inject,
-)
+from .faults import SITE_ENGINE_BUILD, SITE_ONLINE_EXECUTE, CircuitBreaker, maybe_inject
 from .scheduler import Batch, BatchKey, InferenceRequest
 
 __all__ = [
@@ -66,10 +47,8 @@ __all__ = [
     "EngineEntry",
     "EngineCache",
     "EngineCacheStats",
-    "EngineShardMap",
     "LinearServingPath",
     "BatchExecutor",
-    "PipelinedExecutor",
     "STEP_LINEAR",
 ]
 
@@ -80,34 +59,6 @@ STEP_LINEAR = "linear_serving"
 #: per (bank, chunk geometry); enough for every steady-state workload mix
 #: while keeping a long-lived server's pre-transformed masks finite.
 _BSGS_PLAN_CACHE_SIZE = 32
-
-
-def _prepare_plan_remote(model, variant, seed, network, slot_sharing):
-    """Worker-process entry point: produce one engine's offline artifact.
-
-    Runs in a separate process so the offline phase -- GIL-bound simulated-HE
-    exchanges plus, under a realized :class:`NetworkModel`, the wire time of
-    its many rounds -- genuinely overlaps with the parent's online execution.
-    Returns the :class:`~repro.protocols.plan.OfflinePlan` plus the offline
-    accounting (channel messages, tracker) recorded while producing it, so
-    the parent can merge the cost of the remote preparation into the engine
-    it installs the plan on -- no HE operation or byte goes unaccounted.
-    """
-    engine = PrivateTransformerInference(
-        model, variant, seed=seed, network=network, slot_sharing=slot_sharing
-    )
-    plan = engine.prepare()
-    return plan, engine.channel.messages, engine.tracker
-
-
-def _warm_worker_ntt_tables(parameter_pairs):
-    """Worker-pool initializer: build NTT twiddle tables once per process.
-
-    Under the ``fork`` start method the parent's warm tables are inherited
-    and this is a no-op cache hit; under ``spawn`` it moves the table build
-    to process start-up so no batch ever pays it inline.
-    """
-    warm_ntt_cache(parameter_pairs)
 
 
 @dataclass
@@ -134,7 +85,8 @@ class RequestReport:
     #: request in the group genuinely completes at the same instant, which
     #: is why latency percentiles over one such batch coincide.
     shared_slot_batch: bool = False
-    #: worker that executed the batch ("worker-0", ...; None on serial drains)
+    #: where the batch ran, set by the replica fleet ("replica-0:drain",
+    #: "local"); None for an in-process drain
     worker: str | None = None
     #: absolute completion target and whether it was met (None = no deadline)
     deadline: float | None = None
@@ -143,9 +95,6 @@ class RequestReport:
     attempts: int = 1
     #: whether the request succeeded only after at least one retry
     retried: bool = False
-    #: whether the request was served along a degradation rung (e.g. its
-    #: shard batch re-executed serially after a worker-shard fault)
-    degraded: bool = False
 
     def summary(self) -> dict[str, float | int | str]:
         return {
@@ -180,17 +129,15 @@ class EngineEntry:
 class EngineCacheStats:
     """Point-in-time counters of the engine cache's lifecycle activity.
 
-    ``warm_starts + cold_builds + remote_builds`` equals the total number
-    of engine builds: warm starts installed a plan from the persistent
-    store, cold builds ran the offline phase locally, remote builds adopted
-    a plan prepared in a worker process (the pipelined drain's default).
+    ``warm_starts + cold_builds`` equals the total number of engine
+    builds: warm starts installed a plan from the persistent store, cold
+    builds ran the offline phase locally.
 
     The fault-tolerance counters track the degradation ladder:
     ``build_failures`` counts failed build attempts (each feeds the key's
     circuit breaker), ``quarantine_rejections`` counts requests refused
-    while a key's breaker was open, ``probe_builds`` counts half-open
-    probe builds after the cooldown, and ``prepare_fallbacks`` counts
-    remote preparations that failed and degraded to a local build.
+    while a key's breaker was open, and ``probe_builds`` counts half-open
+    probe builds after the cooldown.
     """
 
     entries: int
@@ -199,42 +146,9 @@ class EngineCacheStats:
     invalidations: int
     warm_starts: int
     cold_builds: int
-    remote_builds: int
     build_failures: int = 0
     quarantine_rejections: int = 0
     probe_builds: int = 0
-    prepare_fallbacks: int = 0
-
-
-class EngineShardMap:
-    """Stable assignment of compatibility keys to shard workers.
-
-    Keys are assigned least-loaded on first sight and keep their worker for
-    the lifetime of the map, so distinct ``(model, variant)`` keys spread
-    across distinct workers (until there are more keys than workers) and an
-    engine is only ever driven by one worker thread.
-    """
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise ProtocolError("num_workers must be at least 1")
-        self.num_workers = num_workers
-        self._assignments: dict[BatchKey, int] = {}  # guarded_by: _lock
-        self._loads = [0] * num_workers  # guarded_by: _lock
-        self._lock = threading.Lock()
-
-    def worker_for(self, key: BatchKey) -> int:
-        with self._lock:
-            worker = self._assignments.get(key)
-            if worker is None:
-                worker = min(range(self.num_workers), key=lambda w: self._loads[w])
-                self._assignments[key] = worker
-                self._loads[worker] += 1
-            return worker
-
-    def assignments(self) -> dict[BatchKey, int]:
-        with self._lock:
-            return dict(self._assignments)
 
 
 class EngineCache:
@@ -242,8 +156,9 @@ class EngineCache:
 
     Construction goes through the explicit plan split -- ``prepare()``
     produces the :class:`~repro.protocols.plan.OfflinePlan`, ``install()``
-    adopts it -- and is guarded per key, so a prefetch on the prepare pool
-    and a cache-miss on a shard worker cannot build the same engine twice.
+    adopts it -- and is guarded per key, so two threads missing on the same
+    key (the front door's drain loop and an ``engine_for`` caller, say)
+    cannot build the same engine twice.
 
     Three lifecycle mechanisms compose on top of that:
 
@@ -293,7 +208,6 @@ class EngineCache:
         self._max_bytes = max_bytes
         #: insertion/recency-ordered: the first entry is the eviction victim
         self._entries: OrderedDict[BatchKey, EngineEntry] = OrderedDict()  # guarded_by: _mutex
-        self._pending_plans: dict[BatchKey, Future] = {}  # guarded_by: _mutex
         self._locks: dict[BatchKey, threading.Lock] = {}  # guarded_by: _mutex
         self._generations: dict[BatchKey, int] = {}  # guarded_by: _mutex
         self._plan_bytes = 0  # guarded_by: _mutex
@@ -301,11 +215,9 @@ class EngineCache:
         self._invalidations = 0  # guarded_by: _mutex
         self._warm_starts = 0  # guarded_by: _mutex
         self._cold_builds = 0  # guarded_by: _mutex
-        self._remote_builds = 0  # guarded_by: _mutex
         self._build_failures = 0  # guarded_by: _mutex
         self._quarantine_rejections = 0  # guarded_by: _mutex
         self._probe_builds = 0  # guarded_by: _mutex
-        self._prepare_fallbacks = 0  # guarded_by: _mutex
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown_seconds
         self._breaker_clock = breaker_clock if breaker_clock is not None else time.monotonic
@@ -313,9 +225,13 @@ class EngineCache:
         self._mutex = threading.Lock()
 
     @property
-    def supports_remote_prepare(self) -> bool:
-        """Remote (process) preparation needs the default picklable backend."""
-        return self._backend_factory is None
+    def persists_plans(self) -> bool:
+        """Whether builds may use the plan store: only on the default backend.
+
+        A custom ``backend_factory`` may produce handles a revived plan
+        cannot serve, so those builds stay cold.
+        """
+        return self._plan_store is not None and self._backend_factory is None
 
     @property
     def plan_store(self) -> PlanStore | None:
@@ -343,10 +259,7 @@ class EngineCache:
     def entry(self, key: BatchKey) -> EngineEntry:
         """The cached entry for ``key``, building (prepare+install) if needed.
 
-        If a remote plan preparation is pending for ``key`` (see
-        :meth:`adopt_plan_future`), the build waits for that plan and
-        installs it instead of re-running the offline phase locally.  A
-        build whose model was invalidated mid-flight is discarded and
+        A build whose model was invalidated mid-flight is discarded and
         re-run against the current model (see the class docstring).
 
         Builds are circuit-broken per key: a transient build fault is
@@ -362,22 +275,20 @@ class EngineCache:
                         self._entries.move_to_end(key)
                         return entry
                     generation = self._generations.setdefault(key, 0)
-                    pending = self._pending_plans.pop(key, None)
-                entry = self._guarded_build(key, generation, pending)
+                entry = self._guarded_build(key, generation)
                 if self._insert(key, generation, entry):
                     return entry
                 # invalidate_model ran while this build was in flight: the
                 # engine embeds the replaced model's weights.  Loop and
                 # rebuild against the model registered *now*.
 
-    def _guarded_build(self, key: BatchKey, generation: int, pending) -> EngineEntry:
+    def _guarded_build(self, key: BatchKey, generation: int) -> EngineEntry:
         """One breaker-guarded build attempt chain for ``key``.
 
         Degradation rungs, in order: an open breaker rejects with
-        :class:`~repro.errors.EngineQuarantined`; a failed *remote* plan
-        adoption degrades to a local build; a retryable build fault gets
-        exactly one in-place rebuild; any further failure records into the
-        breaker (opening it at the threshold) and propagates.
+        :class:`~repro.errors.EngineQuarantined`; a retryable build fault
+        gets exactly one in-place rebuild; any further failure records into
+        the breaker (opening it at the threshold) and propagates.
         """
         breaker = self.breaker_for(key)
         if not breaker.allow():
@@ -392,7 +303,7 @@ class EngineCache:
             with self._mutex:
                 self._probe_builds += 1
         try:
-            entry = self._build_once(key, generation, pending)
+            entry = self._build(key, generation)
         except Exception as first:  # noqa: BLE001 - classified below
             breaker.record_failure()
             with self._mutex:
@@ -408,24 +319,6 @@ class EngineCache:
                 raise
         breaker.record_success()
         return entry
-
-    def _build_once(self, key: BatchKey, generation: int, pending) -> EngineEntry:
-        """Build via the pending remote plan when one exists, else locally.
-
-        A remote preparation that failed (or whose adoption is hit by the
-        ``offline_prepare`` fault site) is not fatal: the build degrades to
-        a local ``prepare()`` and the fallback is counted.
-        """
-        if pending is not None:
-            try:
-                maybe_inject(SITE_OFFLINE_PREPARE, f"{key.model}/{key.variant}")
-                payload = pending.result()
-            except Exception:  # noqa: BLE001 - remote prepare degrades to local
-                with self._mutex:
-                    self._prepare_fallbacks += 1
-            else:
-                return self._build_from_plan(key, generation, *payload)
-        return self._build(key, generation)
 
     def _insert(self, key: BatchKey, generation: int, entry: EngineEntry) -> bool:
         """Insert a finished build unless its generation was fenced off."""
@@ -464,12 +357,6 @@ class EngineCache:
         if entry is not None:
             self._plan_bytes -= entry.plan_bytes
 
-    def adopt_plan_future(self, key: BatchKey, future: Future) -> None:
-        """Register an in-flight remote preparation of ``key``'s offline plan."""
-        with self._mutex:
-            if key not in self._entries:
-                self._pending_plans[key] = future
-
     def _engine_skeleton(self, key: BatchKey) -> PrivateTransformerInference:
         if key.model not in self._models:
             raise ProtocolError(f"unknown model {key.model!r}")
@@ -484,17 +371,14 @@ class EngineCache:
     def _store_key(self, key: BatchKey, engine: PrivateTransformerInference):
         """The plan-store key of ``key``'s build, or None when persistence is off.
 
-        Persistence rides on the same gate as remote preparation: the
-        default (picklable, backend-independent) simulated backend.  A
-        custom ``backend_factory`` may produce handles a revived plan
-        cannot serve, so those builds stay cold.  The key fingerprints the
+        Persistence is gated by :attr:`persists_plans`.  The key fingerprints the
         *engine's own* model -- not whatever ``self._models`` currently maps
         the name to, which a concurrent ``register_model`` may have
         replaced mid-build -- and uses the *effective* slot sharing the
         engine clamped to (plans prepared at different sharing levels pack
         different tilings).
         """
-        if self._plan_store is None or not self.supports_remote_prepare:
+        if not self.persists_plans:
             return None
         return self._plan_store.key_for(
             engine.model, key.variant, self._seed, engine.slot_sharing
@@ -503,12 +387,10 @@ class EngineCache:
     def _persist_plan(self, key: BatchKey, generation: int, store_key, plan) -> None:
         """Write ``plan`` to the store unless the build was fenced off.
 
-        A remotely prepared plan embeds the model captured at *prefetch*
-        time; if ``invalidate_model`` ran since this build snapshotted its
-        generation, the engine skeleton (and thus the fingerprint) may
-        belong to the replacement model while the plan belongs to the old
-        one -- persisting it would poison the store and let the forced
-        rebuild warm-start from exactly the stale plan the fence rejected.
+        If ``invalidate_model`` ran since this build snapshotted its
+        generation, the plan was prepared from the replaced model --
+        persisting it would poison the store and let the forced rebuild
+        warm-start from exactly the stale plan the fence rejected.
         """
         if store_key is None:
             return
@@ -516,28 +398,6 @@ class EngineCache:
             if self._generations.get(key, 0) != generation:
                 return
         self._plan_store.store(store_key, plan)
-
-    def _build_from_plan(
-        self, key, generation, plan, offline_messages, offline_tracker
-    ) -> EngineEntry:
-        """Adopt a remotely prepared plan, merging its offline accounting."""
-        start = time.perf_counter()
-        engine = self._engine_skeleton(key)
-        engine.install(plan)
-        # The offline exchanges happened in the worker process; fold their
-        # traffic and operation counts into this engine's books so the
-        # accounting invariants (per-phase, totals) hold as if prepared here.
-        engine.channel.messages.extend(offline_messages)
-        engine.tracker.merge(offline_tracker)
-        # Remotely prepared plans warm future processes too.
-        self._persist_plan(key, generation, self._store_key(key, engine), plan)
-        end = time.perf_counter()
-        with self._mutex:
-            self._remote_builds += 1
-        return EngineEntry(
-            engine=engine, build_seconds=end - start, prepare_seconds=0.0,
-            plan_bytes=plan.approx_nbytes(),
-        )
 
     def _build(self, key: BatchKey, generation: int) -> EngineEntry:
         maybe_inject(SITE_ENGINE_BUILD, f"{key.model}/{key.variant}")
@@ -577,29 +437,9 @@ class EngineCache:
             warm_start=warm,
         )
 
-    def remote_prepare_args(self, key: BatchKey):
-        """The picklable engine-construction arguments for a worker process."""
-        if key.model not in self._models:
-            raise ProtocolError(f"unknown model {key.model!r}")
-        return (
-            self._models[key.model],
-            self._variants[key.variant],
-            self._seed,
-            self._network,
-            self._slot_sharing,
-        )
-
-    def prefetch(self, key: BatchKey, pool: ThreadPoolExecutor) -> Future[EngineEntry]:
-        """Schedule the offline preparation of ``key``'s engine on ``pool``."""
-        return pool.submit(self.entry, key)
-
     def invalidate_model(self, name: str) -> None:
         """Drop cached engines built for an older model under ``name``.
 
-        In-flight remote plan preparations for the old model are discarded
-        too -- installing a plan whose offline shares embed the replaced
-        model's weights onto an engine built from the new model would
-        produce silently wrong results (mask shapes alone would match).
         Builds *currently in flight* are fenced by bumping the per-key
         generation: their insert is rejected and they rebuild against the
         current model (see :meth:`entry`).
@@ -608,8 +448,6 @@ class EngineCache:
             for key in [k for k in self._entries if k.model == name]:
                 self._remove_locked(key)
                 self._invalidations += 1
-            for key in [k for k in self._pending_plans if k.model == name]:
-                del self._pending_plans[key]
             for key in self._generations:
                 if key.model == name:
                     self._generations[key] += 1
@@ -638,20 +476,19 @@ class EngineCache:
                 invalidations=self._invalidations,
                 warm_starts=self._warm_starts,
                 cold_builds=self._cold_builds,
-                remote_builds=self._remote_builds,
                 build_failures=self._build_failures,
                 quarantine_rejections=self._quarantine_rejections,
                 probe_builds=self._probe_builds,
-                prepare_fallbacks=self._prepare_fallbacks,
             )
 
 
 class LinearServingPath:
     """Shared state of the slot-sharing linear path.
 
-    One backend and one accounting channel serve every weight bank, so in a
-    multi-worker drain linear batches serialise on :attr:`lock` -- the HE
-    win of the linear path is slot sharing, not thread parallelism.
+    One backend and one accounting channel serve every weight bank, so
+    linear batches serialise on :attr:`lock` (which also makes a bank swap
+    atomic against a running batch) -- the HE win of the linear path is
+    slot sharing, not thread parallelism.
 
     The path additionally caches one :class:`~repro.he.bsgs.BSGSMatmulPlan`
     per ``(bank, geometry)``: the weight bank's generalized diagonals,
@@ -742,73 +579,64 @@ class BatchExecutor:
         self.engines = engines
         self.linear = linear
 
-    def execute(self, batch: Batch, *, worker: str | None = None) -> list[RequestReport]:
-        """Run one batch; ``worker`` tags the attribution in sharded drains."""
+    def execute(self, batch: Batch) -> list[RequestReport]:
+        """Run one batch with per-request attribution."""
         maybe_inject(SITE_ONLINE_EXECUTE, f"batch-{batch.batch_id}")
         if batch.key.kind == "inference":
-            return self._run_inference_batch(batch, worker)
-        return self._run_linear_batch(batch, worker)
+            return self._run_inference_batch(batch)
+        return self._run_linear_batch(batch)
 
     # -- full-inference batches ---------------------------------------------
-    def _run_inference_batch(self, batch: Batch, worker: str | None) -> list[RequestReport]:
+    def _run_inference_batch(self, batch: Batch) -> list[RequestReport]:
         entry = self.engines.entry(batch.key)
         engine = entry.engine
         if len(batch.requests) > 1 and getattr(engine, "slot_sharing", 1) > 1:
             # The engine's FHGS modules can pack this batch's cross terms
             # block-diagonally into shared ciphertext slots: run the batch
             # through the engine as one unit.
-            return self._run_shared_inference_batch(batch, engine, worker)
+            return self._run_shared_inference_batch(batch, engine)
         reports: list[RequestReport] = []
-        engine.tracker.set_worker(worker)
-        engine.channel.set_worker(worker)
-        try:
-            for request in batch.requests:
-                start = time.perf_counter()
-                engine.tracker.set_request(request.request_id)
-                engine.channel.set_request(request.request_id)
-                try:
-                    result = engine.run(request.payload)
-                finally:
-                    engine.tracker.set_request(None)
-                    engine.channel.set_request(None)
-                end = time.perf_counter()
-                reports.append(
-                    RequestReport(
-                        request_id=request.request_id,
-                        kind="inference",
-                        model=batch.key.model,
-                        variant=batch.key.variant,
-                        batch_id=batch.batch_id,
-                        batch_size=len(batch),
-                        result=result.logits,
-                        prediction=result.prediction,
-                        queue_seconds=start - request.submitted_at,
-                        latency_seconds=end - start,
-                        online_bytes=engine.channel.total_bytes(
-                            Phase.ONLINE, request=request.request_id
-                        ),
-                        online_rounds=engine.channel.round_count(
-                            Phase.ONLINE, request=request.request_id
-                        ),
-                        offline_bytes=engine.channel.total_bytes(
-                            Phase.OFFLINE, request=request.request_id
-                        ),
-                        he_operations=engine.tracker.request_snapshot(request.request_id),
-                        worker=worker,
-                        deadline=request.deadline,
-                        deadline_met=(
-                            None if request.deadline is None else end <= request.deadline
-                        ),
-                    )
+        for request in batch.requests:
+            start = time.perf_counter()
+            engine.tracker.set_request(request.request_id)
+            engine.channel.set_request(request.request_id)
+            try:
+                result = engine.run(request.payload)
+            finally:
+                engine.tracker.set_request(None)
+                engine.channel.set_request(None)
+            end = time.perf_counter()
+            reports.append(
+                RequestReport(
+                    request_id=request.request_id,
+                    kind="inference",
+                    model=batch.key.model,
+                    variant=batch.key.variant,
+                    batch_id=batch.batch_id,
+                    batch_size=len(batch),
+                    result=result.logits,
+                    prediction=result.prediction,
+                    queue_seconds=start - request.submitted_at,
+                    latency_seconds=end - start,
+                    online_bytes=engine.channel.total_bytes(
+                        Phase.ONLINE, request=request.request_id
+                    ),
+                    online_rounds=engine.channel.round_count(
+                        Phase.ONLINE, request=request.request_id
+                    ),
+                    offline_bytes=engine.channel.total_bytes(
+                        Phase.OFFLINE, request=request.request_id
+                    ),
+                    he_operations=engine.tracker.request_snapshot(request.request_id),
+                    deadline=request.deadline,
+                    deadline_met=(
+                        None if request.deadline is None else end <= request.deadline
+                    ),
                 )
-        finally:
-            engine.tracker.set_worker(None)
-            engine.channel.set_worker(None)
+            )
         return reports
 
-    def _run_shared_inference_batch(
-        self, batch: Batch, engine, worker: str | None
-    ) -> list[RequestReport]:
+    def _run_shared_inference_batch(self, batch: Batch, engine) -> list[RequestReport]:
         """Run one inference batch through the FHGS slot-sharing path.
 
         The batch's requests execute as one unit (``engine.run_batch``), so
@@ -817,21 +645,13 @@ class BatchExecutor:
         ``shared_slot_batch=True``, exactly like the linear path's chunks.
         """
         tag = f"batch-{batch.batch_id}-shared"
-        engine.tracker.set_worker(worker)
-        engine.channel.set_worker(worker)
         start = time.perf_counter()
-        try:
-            with engine.tracker.attribute(tag):
-                engine.channel.set_request(tag)
-                try:
-                    results = engine.run_batch(
-                        [request.payload for request in batch.requests]
-                    )
-                finally:
-                    engine.channel.set_request(None)
-        finally:
-            engine.tracker.set_worker(None)
-            engine.channel.set_worker(None)
+        with engine.tracker.attribute(tag):
+            engine.channel.set_request(tag)
+            try:
+                results = engine.run_batch([request.payload for request in batch.requests])
+            finally:
+                engine.channel.set_request(None)
         end = time.perf_counter()
         ops = engine.tracker.request_snapshot(tag)
         online_bytes = engine.channel.total_bytes(Phase.ONLINE, request=tag)
@@ -854,7 +674,6 @@ class BatchExecutor:
                 offline_bytes=offline_bytes,
                 he_operations=dict(ops),
                 shared_slot_batch=True,
-                worker=worker,
                 deadline=request.deadline,
                 deadline_met=(
                     None if request.deadline is None else end <= request.deadline
@@ -864,7 +683,7 @@ class BatchExecutor:
         ]
 
     # -- shared-slot linear batches -----------------------------------------
-    def _run_linear_batch(self, batch: Batch, worker: str | None) -> list[RequestReport]:
+    def _run_linear_batch(self, batch: Batch) -> list[RequestReport]:
         """Run a slot-sharing linear batch, chunked to the ciphertext capacity."""
         with self.linear.lock:
             backend = self.linear.backend()
@@ -893,9 +712,7 @@ class BatchExecutor:
                     continue
                 if chunk:
                     reports.extend(
-                        self._run_linear_chunk(
-                            batch, chunk_index, chunk, backend, weights, worker
-                        )
+                        self._run_linear_chunk(batch, chunk_index, chunk, backend, weights)
                     )
                     chunk_index += 1
                 if request is not None:
@@ -911,15 +728,12 @@ class BatchExecutor:
         chunk: list[InferenceRequest],
         backend: HEBackend,
         weights: np.ndarray,
-        worker: str | None,
     ) -> list[RequestReport]:
         # One tag per slot-sharing chunk: a batch may split into several
         # chunks, and reusing one tag would double-count earlier chunks'
         # operations in later chunks' reports.
         tag = f"batch-{batch.batch_id}-chunk-{chunk_index}"
         channel = self.linear.channel
-        backend.tracker.set_worker(worker)
-        channel.set_worker(worker)
         total_rows = sum(request.payload.shape[0] for request in chunk)
         # Rotation-minimal BSGS diagonals when the backend supports slot-wise
         # products (the simulator; chunking already caps rows at the slot
@@ -938,36 +752,31 @@ class BatchExecutor:
             )
             bsgs_plan = self.linear.bsgs_plan_locked(batch.key.model, weights, geometry)
         start = time.perf_counter()
-        try:
-            with backend.tracker.attribute(tag):
-                results = encrypted_batch_matmul(
-                    backend, [request.payload for request in chunk], weights,
-                    kernel="bsgs" if use_bsgs else "columns",
-                    bsgs_plan=bsgs_plan,
-                )
-            end = time.perf_counter()
-            ops = backend.tracker.request_snapshot(tag)
-            # Wire accounting: the column kernel ships one ciphertext per
-            # input feature and one per output column; BSGS packs the input
-            # into its block geometry and the whole result into a single
-            # ciphertext.
-            if use_bsgs:
-                input_cts, result_cts = geometry.num_ciphertexts, geometry.out_groups
-            else:
-                input_cts, result_cts = weights.shape[0], weights.shape[1]
-            channel.set_request(tag)
-            channel.send(
-                "client", "server", input_cts * backend.ciphertext_bytes,
-                description="Enc(stacked inputs)", step=STEP_LINEAR, phase=Phase.ONLINE,
+        with backend.tracker.attribute(tag):
+            results = encrypted_batch_matmul(
+                backend, [request.payload for request in chunk], weights,
+                kernel="bsgs" if use_bsgs else "columns",
+                bsgs_plan=bsgs_plan,
             )
-            channel.send(
-                "server", "client", result_cts * backend.ciphertext_bytes,
-                description="Enc(stacked results)", step=STEP_LINEAR, phase=Phase.ONLINE,
-            )
-            channel.set_request(None)
-        finally:
-            backend.tracker.set_worker(None)
-            channel.set_worker(None)
+        end = time.perf_counter()
+        ops = backend.tracker.request_snapshot(tag)
+        # Wire accounting: the column kernel ships one ciphertext per input
+        # feature and one per output column; BSGS packs the input into its
+        # block geometry and the whole result into a single ciphertext.
+        if use_bsgs:
+            input_cts, result_cts = geometry.num_ciphertexts, geometry.out_groups
+        else:
+            input_cts, result_cts = weights.shape[0], weights.shape[1]
+        channel.set_request(tag)
+        channel.send(
+            "client", "server", input_cts * backend.ciphertext_bytes,
+            description="Enc(stacked inputs)", step=STEP_LINEAR, phase=Phase.ONLINE,
+        )
+        channel.send(
+            "server", "client", result_cts * backend.ciphertext_bytes,
+            description="Enc(stacked results)", step=STEP_LINEAR, phase=Phase.ONLINE,
+        )
+        channel.set_request(None)
         online_bytes = channel.total_bytes(Phase.ONLINE, request=tag)
         return [
             RequestReport(
@@ -986,7 +795,6 @@ class BatchExecutor:
                 offline_bytes=0,
                 he_operations=dict(ops),
                 shared_slot_batch=True,
-                worker=worker,
                 deadline=request.deadline,
                 deadline_met=(
                     None if request.deadline is None else end <= request.deadline
@@ -995,162 +803,3 @@ class BatchExecutor:
             for request, result in zip(chunk, results, strict=True)
         ]
 
-
-class PipelinedExecutor:
-    """Sharded drain that overlaps offline preparation with online execution.
-
-    Given the batches of one drain, the executor
-
-    1. prefetches the offline plan of every distinct inference key onto a
-       *prepare pool* (in first-batch order, so the engine a shard needs
-       first is prepared first), then
-    2. partitions the batches by :class:`EngineShardMap` worker and lets
-       each shard worker execute its batches in formation order.
-
-    While worker 0 runs batch N's online phase, the prepare pool is already
-    producing the offline plans later batches need -- the pipelining the
-    paper's offline/online split makes possible at serving scale.
-    """
-
-    def __init__(self, base: BatchExecutor, *, num_workers: int = 2) -> None:
-        if num_workers < 1:
-            raise ProtocolError("num_workers must be at least 1")
-        self.base = base
-        self.num_workers = num_workers
-        self.shard_map = EngineShardMap(num_workers)
-        #: shard batches that hit a transient fault and were re-executed
-        #: serially on the base executor (the worker-shard degradation rung)
-        self.serial_fallbacks = 0
-
-    def drain(
-        self,
-        batches: list[Batch],
-        on_batch_complete: Callable[[list[RequestReport]], None] | None = None,
-    ) -> list[RequestReport]:
-        """Execute all batches; reports come back in batch-formation order.
-
-        ``on_batch_complete`` fires (serialised under a lock) as each batch
-        finishes, so a caller can register completions batch by batch -- an
-        error in one shard then cannot lose the results of batches that
-        already ran, matching the serial drain's durability guarantee.
-        """
-        if not batches:
-            return []
-
-        # Offline pipeline: every engine the drain will need but is not yet
-        # cached gets its offline plan prepared ahead of time, in
-        # first-appearance order (so the engine a shard needs first is
-        # prepared first).  With the default backend the preparation runs in
-        # *worker processes* -- the simulated-HE exchanges are GIL-bound, so
-        # only separate processes truly overlap them with the parent's
-        # online phases; custom backends fall back to a thread pool.
-        engines = self.base.engines
-        cached = set(engines.cached_keys())
-        prepare_keys: list[BatchKey] = []
-        for batch in batches:
-            if (
-                batch.key.kind == "inference"
-                and batch.key not in cached
-                and batch.key not in prepare_keys
-            ):
-                prepare_keys.append(batch.key)
-
-        shards: dict[int, list[Batch]] = {}
-        for batch in batches:
-            worker = self.shard_map.worker_for(batch.key)
-            shards.setdefault(worker, []).append(batch)
-
-        completed: dict[int, list[RequestReport]] = {}
-        completed_lock = threading.Lock()
-
-        def run_shard(worker: int, shard_batches: list[Batch]) -> None:
-            label = f"worker-{worker}"
-            for batch in shard_batches:
-                try:
-                    maybe_inject(SITE_WORKER_SHARD, label)
-                    reports = self.base.execute(batch, worker=label)
-                except TransientFault:
-                    # Worker-shard degradation rung: the failed batch
-                    # re-executes serially on the base executor (no worker
-                    # attribution), marked degraded in its reports.  The
-                    # shard itself lives on for its remaining batches.
-                    reports = self.base.execute(batch, worker=None)
-                    for report in reports:
-                        report.degraded = True
-                    with completed_lock:
-                        self.serial_fallbacks += 1
-                with completed_lock:
-                    completed[batch.batch_id] = reports
-                    if on_batch_complete is not None:
-                        on_batch_complete(reports)
-
-        prepare_pool, prefetches = self._start_offline_pipeline(prepare_keys)
-        errors: list[Exception] = []
-        try:
-            with ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="shard"
-            ) as worker_pool:
-                futures = [
-                    worker_pool.submit(run_shard, worker, shard_batches)
-                    for worker, shard_batches in shards.items()
-                ]
-                for future in futures:
-                    try:
-                        future.result()
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        errors.append(exc)
-            for prefetch in prefetches:
-                # Surface engine-build failures even if no shard consumed
-                # them -- except *transient* faults: the shard that needed
-                # the engine either retried the build itself (absorbing the
-                # fault) or failed on its own and is already in ``errors``;
-                # raising here would fail a drain whose every batch
-                # completed.
-                exc = prefetch.exception()
-                if (
-                    exc is not None
-                    and not getattr(exc, "retryable", False)
-                    and not errors
-                ):
-                    errors.append(exc)
-        finally:
-            if prepare_pool is not None:
-                prepare_pool.shutdown(wait=True)
-        if errors:
-            raise errors[0]
-
-        ordered: list[RequestReport] = []
-        for batch in batches:
-            ordered.extend(completed.get(batch.batch_id, []))
-        return ordered
-
-    def _start_offline_pipeline(
-        self, prepare_keys: list[BatchKey]
-    ) -> tuple[ProcessPoolExecutor | ThreadPoolExecutor | None, list[Future]]:
-        """Kick off ahead-of-time offline preparation for ``prepare_keys``."""
-        engines = self.base.engines
-        if not prepare_keys:
-            return None, []
-        if engines.supports_remote_prepare:
-            workers = min(len(prepare_keys), max(1, (os.cpu_count() or 2) - 1))
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            pool: ProcessPoolExecutor | ThreadPoolExecutor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                # Twiddle tables are built once per worker process (a cache
-                # hit under fork), never per batch.
-                initializer=_warm_worker_ntt_tables,
-                initargs=(cached_ntt_parameters(),),
-            )
-            prefetches = []
-            for key in prepare_keys:
-                future = pool.submit(_prepare_plan_remote, *engines.remote_prepare_args(key))
-                engines.adopt_plan_future(key, future)
-                prefetches.append(future)
-            return pool, prefetches
-        pool = ThreadPoolExecutor(
-            max_workers=len(prepare_keys), thread_name_prefix="offline-prepare"
-        )
-        return pool, [engines.prefetch(key, pool) for key in prepare_keys]

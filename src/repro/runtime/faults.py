@@ -1,8 +1,8 @@
 """Deterministic fault injection + the fault-tolerance building blocks.
 
 The runtime's robustness story is *provable*, not anecdotal: every recovery
-behaviour -- retries, quarantine, cold-build fallback, shard re-execution,
-kernel-tier fallback -- is exercised by **deterministic induced failure**,
+behaviour -- retries, quarantine, cold-build fallback, kernel-tier
+fallback, fleet failover -- is exercised by **deterministic induced failure**,
 never by mocks.  The pieces:
 
 * :class:`FaultRule` / :class:`FaultPlan` -- a seeded, reproducible schedule
@@ -18,8 +18,8 @@ never by mocks.  The pieces:
   near-free no-ops, so production paths pay one global read.
 * :func:`fault_scope` -- a process-global ``with`` context mirroring
   :func:`repro.he.kernels.tier_scope`.  Process-global (not thread-local)
-  on purpose: faults must be visible to the drain loop, shard workers and
-  prepare pools, which run on other threads than the test body.
+  on purpose: faults must be visible to the drain loop and the fleet
+  router's threads, which run on other threads than the test body.
 * :class:`CircuitBreaker` -- closed → open after ``failure_threshold``
   consecutive failures → half-open probe after ``cooldown_seconds`` →
   closed on probe success.  Used per ``(model, variant)`` key by the engine
@@ -37,10 +37,8 @@ site                      instrumented in
 ``engine_build``          :meth:`EngineCache._build` (offline prepare+install)
 ``planstore_load``        :meth:`PlanStore.load` (reads; also corrupt rules)
 ``planstore_store``       :meth:`PlanStore.store` (writes)
-``offline_prepare``       remote-plan adoption in :meth:`EngineCache.entry`
 ``online_execute``        :meth:`BatchExecutor.execute` entry
 ``kernel_dispatch``       :func:`repro.he.kernels.stacked_ntt` dispatch
-``worker_shard``          :class:`PipelinedExecutor` shard workers
 ``conn_send``             :func:`repro.runtime.net.send_frame` (wire writes;
                           also corrupt rules -- the CRC must catch them)
 ``conn_recv``             :func:`repro.runtime.net.recv_frame` (wire reads)
@@ -66,10 +64,8 @@ __all__ = [
     "SITE_ENGINE_BUILD",
     "SITE_PLANSTORE_LOAD",
     "SITE_PLANSTORE_STORE",
-    "SITE_OFFLINE_PREPARE",
     "SITE_ONLINE_EXECUTE",
     "SITE_KERNEL_DISPATCH",
-    "SITE_WORKER_SHARD",
     "SITE_CONN_SEND",
     "SITE_CONN_RECV",
     "SITE_REPLICA_HEARTBEAT",
@@ -93,10 +89,8 @@ __all__ = [
 SITE_ENGINE_BUILD = "engine_build"
 SITE_PLANSTORE_LOAD = "planstore_load"
 SITE_PLANSTORE_STORE = "planstore_store"
-SITE_OFFLINE_PREPARE = "offline_prepare"
 SITE_ONLINE_EXECUTE = "online_execute"
 SITE_KERNEL_DISPATCH = "kernel_dispatch"
-SITE_WORKER_SHARD = "worker_shard"
 SITE_CONN_SEND = "conn_send"
 SITE_CONN_RECV = "conn_recv"
 SITE_REPLICA_HEARTBEAT = "replica_heartbeat"
@@ -107,10 +101,8 @@ ALL_SITES = (
     SITE_ENGINE_BUILD,
     SITE_PLANSTORE_LOAD,
     SITE_PLANSTORE_STORE,
-    SITE_OFFLINE_PREPARE,
     SITE_ONLINE_EXECUTE,
     SITE_KERNEL_DISPATCH,
-    SITE_WORKER_SHARD,
     SITE_CONN_SEND,
     SITE_CONN_RECV,
     SITE_REPLICA_HEARTBEAT,
@@ -226,9 +218,8 @@ class FaultInjector:
     """Evaluates a :class:`FaultPlan` at the registered runtime sites.
 
     Thread-safe: occurrence counters and the event log sit behind one lock
-    (sites are hit from drain loops, shard workers, prepare pools and the
-    fleet router's heartbeat/receiver threads).  The event log is a *bounded*
-    replay window (``max_events``, default :data:`DEFAULT_MAX_EVENTS`):
+    (sites are hit from drain loops and the fleet router's heartbeat/receiver
+    threads).  The event log is a *bounded* replay window (``max_events``, default :data:`DEFAULT_MAX_EVENTS`):
     older events are discarded once the cap is reached, while the fired
     *counters* stay exact forever -- see :meth:`fired_count`.
     """
@@ -372,7 +363,7 @@ def fault_scope(plan_or_injector: FaultPlan | FaultInjector | None):
 
     Mirrors :func:`repro.he.kernels.tier_scope`, but deliberately
     process-global rather than thread-local: the instrumented sites run on
-    background threads (drain loop, shard workers) that must see the same
+    background threads (drain loop, fleet router) that must see the same
     schedule as the thread entering the scope.  Yields the injector so the
     caller can assert on its event log.  ``None`` is a no-op scope.
     """

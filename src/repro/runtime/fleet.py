@@ -1,14 +1,12 @@
 """Client-side fleet router: health-checked placement over socket replicas.
 
-The in-process half of ROADMAP item 1 is
-:class:`~repro.runtime.executor.EngineShardMap`; this module is the same
-idea across processes.  A :class:`FleetRouter` fronts N
-:class:`~repro.runtime.net.ReplicaServer` replicas and gives callers the
-exact :meth:`submit` / :meth:`submit_linear` surface of
+This is the runtime's process-parallel mechanism.  A :class:`FleetRouter`
+fronts N :class:`~repro.runtime.net.ReplicaServer` replicas and gives
+callers the exact :meth:`submit` / :meth:`submit_linear` surface of
 :class:`~repro.runtime.frontdoor.AsyncServingRuntime` -- handles, typed
 errors, synchronous :class:`~repro.errors.OverloadedError` -- while placing
 each ``(model, variant)`` key on one replica, least-loaded on first sight
-(so engine caches stay hot per replica, exactly like shard workers).
+(so engine caches stay hot per replica).
 
 Failover ladder (every rung typed, none silent):
 
@@ -59,7 +57,6 @@ import numpy as np
 from ..errors import (
     FaultError,
     FleetUnavailable,
-    OverloadedError,
     ProtocolError,
     ReplicaLost,
     RequestFailed,
@@ -638,10 +635,9 @@ class FleetRouter:
     def _place(self, key: tuple, tried: set[str]) -> _ReplicaClient | None:
         """Sticky least-loaded placement over placeable replicas.
 
-        Mirrors :meth:`EngineShardMap.worker_for`: a key keeps its replica
-        while that replica stays healthy, so its prepared engine stays hot;
-        quarantined or crashed replicas lose their keys to the least-loaded
-        survivor.
+        A key keeps its replica while that replica stays healthy, so its
+        prepared engine stays hot; quarantined or crashed replicas lose
+        their keys to the least-loaded survivor.
         """
         with self._lock:
             current = self._placements.get(key)

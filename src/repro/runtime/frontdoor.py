@@ -21,11 +21,10 @@ Equivalence
 -----------
 The protocol's logits are deterministic functions of the inputs -- they do
 not depend on the sharing randomness, the batch a request lands in, or the
-batch's size (``run_batch`` is bit-identical to per-request ``run``, and the
-serial/pipelined drains are bit-identical to each other).  The front door
-executes every batch through the same :class:`BatchExecutor` on one loop
-thread, with per-key arrival order preserved by the scheduler, so **any**
-interleaving of submits and drains yields reports whose logits are
+batch's size (``run_batch`` is bit-identical to per-request ``run``).  The
+front door executes every batch through the same :class:`BatchExecutor` on
+one loop thread, with per-key arrival order preserved by the scheduler, so
+**any** interleaving of submits and drains yields reports whose logits are
 bit-identical to a serial submit-all-then-``run_pending()`` pass over the
 same requests -- the equivalence the test-suite asserts.
 

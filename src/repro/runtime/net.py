@@ -59,12 +59,7 @@ import threading
 import zlib
 
 from .. import errors as _errors
-from ..errors import (
-    OverloadedError,
-    ProtocolError,
-    RequestFailed,
-    WireError,
-)
+from ..errors import ProtocolError, WireError
 from .faults import SITE_CONN_RECV, SITE_CONN_SEND, maybe_corrupt, maybe_inject
 from .frontdoor import AsyncServingRuntime, RequestHandle
 
@@ -689,7 +684,7 @@ class ReplicaServer:
             report = dataclasses.replace(
                 report,
                 request_id=rid,
-                worker=f"{self.name}:{report.worker or 'drain'}",
+                worker=f"{self.name}:drain",
             )
             self._log_executed(rid)
             entry = ("result", report)
@@ -763,7 +758,6 @@ class ReplicaServer:
             "num_requests": len(reports),
             "num_batches": len({r.batch_id for r in reports}),
             "retried_requests": sum(1 for r in reports if r.retried),
-            "degraded_requests": sum(1 for r in reports if r.degraded),
             "total_attempts": sum(r.attempts for r in reports),
             "deadlines_met": sum(1 for r in reports if r.deadline_met is True),
             "deadlines_missed": sum(1 for r in reports if r.deadline_met is False),

@@ -8,23 +8,20 @@ README's "Serving architecture" section):
 * **plans** (:mod:`repro.protocols.plan`) -- the offline phase of every
   engine is an explicit, immutable :class:`~repro.protocols.plan.OfflinePlan`
   produced by ``prepare()`` and adopted by ``install()``;
-* **executors** (:mod:`repro.runtime.executor`) -- the
+* **executor** (:mod:`repro.runtime.executor`) -- the
   :class:`~repro.runtime.executor.BatchExecutor` runs one batch with full
-  per-request attribution; the
-  :class:`~repro.runtime.executor.PipelinedExecutor` shards engines across
-  workers and overlaps offline preparation with online execution;
+  per-request attribution on engines from the bounded
+  :class:`~repro.runtime.executor.EngineCache`;
 * **policies** (:mod:`repro.runtime.scheduler`) -- batch formation is a
   pluggable :class:`~repro.runtime.scheduler.SchedulingPolicy` (FIFO
   default, earliest-deadline-first, size-aware slot packing), all bound by
   the scheduler-enforced per-key FIFO fairness invariant.
 
 :class:`ServingRuntime` preserves the original API: ``submit`` /
-``submit_linear`` queue requests, ``run_pending()`` drains serially (batch
-after batch, behaviour-identical to the pre-split runtime) and
-``run_pending_pipelined()`` drains through the sharded pipeline.  Both paths
-produce bit-identical logits -- the protocol's outputs are deterministic
-functions of the inputs regardless of the sharing randomness -- which the
-test-suite asserts for all four Primer variants.
+``submit_linear`` queue requests and ``run_pending()`` drains serially,
+batch after batch.  The async front door (:mod:`repro.runtime.frontdoor`)
+drains the same executor continuously, and the replica fleet
+(:mod:`repro.runtime.fleet`) runs one runtime per process.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .executor import (
     BatchExecutor,
     EngineCache,
     LinearServingPath,
-    PipelinedExecutor,
     RequestReport,
 )
 from .scheduler import BatchKey, BatchScheduler, InferenceRequest, SchedulingPolicy
@@ -83,11 +79,10 @@ class ServingStats:
     #: deadline outcomes (requests without a deadline count in neither)
     deadlines_met: int = 0
     deadlines_missed: int = 0
-    #: fault-tolerance aggregates: requests that needed at least one retry,
-    #: requests served along a degradation rung, and the total executor
-    #: attempts across all requests (== num_requests in a fault-free run)
+    #: fault-tolerance aggregates: requests that needed at least one retry
+    #: and the total executor attempts across all requests (== num_requests
+    #: in a fault-free run)
     retried_requests: int = 0
-    degraded_requests: int = 0
     total_attempts: int = 0
     #: HE kernel tier that was active when the stats were summarized
     kernel_tier: str = ""
@@ -137,7 +132,6 @@ def summarize(reports: list[RequestReport], wall_seconds: float | None = None) -
         deadlines_met=sum(1 for r in reports if r.deadline_met is True),
         deadlines_missed=sum(1 for r in reports if r.deadline_met is False),
         retried_requests=sum(1 for r in reports if r.retried),
-        degraded_requests=sum(1 for r in reports if r.degraded),
         total_attempts=sum(r.attempts for r in reports),
         kernel_tier=kernels.active_tier_name(),
         kernel_costs=_kernel_costs_snapshot(),
@@ -145,7 +139,7 @@ def summarize(reports: list[RequestReport], wall_seconds: float | None = None) -
 
 
 class ServingRuntime:
-    """Queue → policy batcher → (pipelined) executor → per-request reports.
+    """Queue → policy batcher → executor → per-request reports.
 
     Parameters
     ----------
@@ -164,14 +158,10 @@ class ServingRuntime:
     policy:
         Scheduling policy for batch formation; default FIFO (the original
         behaviour).
-    num_workers:
-        Shard workers used by :meth:`run_pending_pipelined`.
     network:
         Optional :class:`~repro.protocols.channel.NetworkModel` to
         *realize*: every protocol message then actually waits out its
-        transfer time, emulating the paper's two-instance deployment.  The
-        pipelined executor overlaps the offline phase's wire time with
-        online execution; the serial drain pays it inline.
+        transfer time, emulating the paper's two-instance deployment.
     fhgs_slot_sharing:
         FHGS block-diagonal slot-sharing capacity: engines prepare their
         offline plans so that up to this many compatible requests share one
@@ -205,7 +195,6 @@ class ServingRuntime:
         backend_factory: Callable[[], HEBackend] | None = None,
         seed: int = 0,
         policy: SchedulingPolicy | None = None,
-        num_workers: int = 2,
         network: NetworkModel | None = None,
         fhgs_slot_sharing: int | None = None,
         plan_store: PlanStore | str | Path | None = None,
@@ -236,7 +225,6 @@ class ServingRuntime:
         )
         self._linear = LinearServingPath(self._weight_banks, backend_factory, network=network)
         self.executor = BatchExecutor(self._engines, self._linear)
-        self.pipeline = PipelinedExecutor(self.executor, num_workers=num_workers)
         self._request_ids = itertools.count()
         self._completed: dict[str, RequestReport] = {}
 
@@ -353,7 +341,7 @@ class ServingRuntime:
     def _record_completions(self, batch_reports: list[RequestReport]) -> None:
         """Register finished reports so :meth:`result` can serve them.
 
-        Called batch by batch from every drain path (serial, pipelined, and
+        Called batch by batch from both drain paths (:meth:`run_pending` and
         the async front door's continuous loop), so an error in a later
         batch cannot lose the results of batches that already ran.
         """
@@ -371,20 +359,6 @@ class ServingRuntime:
             self._record_completions(batch_reports)
             reports.extend(batch_reports)
         return reports
-
-    def run_pending_pipelined(self) -> list[RequestReport]:
-        """Drain the queue through the sharded offline/online pipeline.
-
-        Batches are formed by the same policy as :meth:`run_pending`; they
-        then run on per-key shard workers while the offline plans of
-        not-yet-started engines are prepared in the background.  Reports
-        come back in batch-formation order and the logits are bit-identical
-        to a serial drain.  Completions register batch by batch (like the
-        serial drain), so an error in one shard cannot lose the results of
-        batches that already ran.
-        """
-        batches = self.scheduler.drain()
-        return self.pipeline.drain(batches, on_batch_complete=self._record_completions)
 
     def result(self, request_id: str) -> RequestReport:
         """Report of a completed request."""

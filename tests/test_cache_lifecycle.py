@@ -3,8 +3,8 @@
 Covers the two races the async front door exposed, plus the bounded-cache
 behaviour:
 
-* ``EngineCache.invalidate_model`` vs an in-flight ``prefetch()``/``entry()``
-  build -- the build used to re-insert a stale-model engine after the
+* ``EngineCache.invalidate_model`` vs an in-flight ``entry()`` build -- the
+  build used to re-insert a stale-model engine after the
   invalidation returned; the per-key generation fence now discards it and
   rebuilds against the current model.
 * ``BatchScheduler.submit`` vs a concurrent drain -- ``next_batch`` rebinds
@@ -55,7 +55,7 @@ def model_b() -> TransformerEncoder:
 
 
 class TestInvalidateVersusInflightBuild:
-    def test_invalidate_fences_an_inflight_prefetch(self, model_a, model_b, monkeypatch):
+    def test_invalidate_fences_an_inflight_build(self, model_a, model_b, monkeypatch):
         """Regression: a build started before ``invalidate_model`` must not
         re-insert the replaced model's engine after the invalidation."""
         runtime = ServingRuntime({"m": model_a}, seed=5)
@@ -74,7 +74,7 @@ class TestInvalidateVersusInflightBuild:
         monkeypatch.setattr(PrivateTransformerInference, "prepare", gated_prepare)
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            future = cache.prefetch(key, pool)
+            future = pool.submit(cache.entry, key)
             assert build_started.wait(timeout=30)
             # The build is paused inside the old model's offline phase.
             # Replace the model -- this invalidates, bumping the key's
@@ -89,7 +89,7 @@ class TestInvalidateVersusInflightBuild:
         assert cache.entry(key).engine.model is model_b
         assert cache.entry(key) is entry
 
-    def test_invalidation_still_drops_cached_and_pending_state(self, model_a, model_b):
+    def test_invalidation_drops_cached_engines(self, model_a, model_b):
         runtime = ServingRuntime({"m": model_a}, seed=5)
         runtime.engine_for("m")
         assert runtime.engine_cache.stats().entries == 1
@@ -101,46 +101,38 @@ class TestInvalidateVersusInflightBuild:
     def test_fenced_build_does_not_poison_the_plan_store(
         self, tmp_path, model_a, model_b, monkeypatch
     ):
-        """Regression: a remotely prepared plan adopted *after* the model
-        was replaced must not be persisted under the new model's
-        fingerprint -- the forced rebuild (and any future process) would
-        warm-start from the stale plan and serve wrong logits."""
-        from concurrent.futures import Future
-
-        from repro.runtime.executor import EngineCache, _prepare_plan_remote
-
+        """Regression: a build fenced off by ``invalidate_model`` must not
+        leave a plan that a later warm start for the new model picks up --
+        the forced rebuild (and any future process) would then serve the
+        replaced model's logits."""
         rng = np.random.default_rng(17)
         tokens = rng.integers(0, 40, size=6)
         runtime = ServingRuntime({"m": model_a}, plan_store=tmp_path, seed=5)
         cache = runtime.engine_cache
         key = BatchKey(kind="inference", model="m", variant=FPC)
 
-        # A worker process prepared model_a's plan (captured at prefetch time).
-        future: Future = Future()
-        future.set_result(_prepare_plan_remote(*cache.remote_prepare_args(key)))
-        cache.adopt_plan_future(key, future)
+        # Freeze the build inside model_a's offline phase, swap the model,
+        # then let the stale build finish.
+        build_started = threading.Event()
+        release_build = threading.Event()
+        original_prepare = PrivateTransformerInference.prepare
 
-        # Freeze the build between popping the pending plan and building
-        # the engine skeleton -- the window in which register_model swaps
-        # the model, so the skeleton (and store fingerprint) would belong
-        # to model_b while the plan belongs to model_a.
-        skeleton_reached = threading.Event()
-        release_skeleton = threading.Event()
-        original_skeleton = EngineCache._engine_skeleton
+        def gated_prepare(engine):
+            if engine.model is model_a:
+                build_started.set()
+                assert release_build.wait(timeout=30)
+            return original_prepare(engine)
 
-        def gated_skeleton(cache_self, build_key):
-            skeleton_reached.set()
-            assert release_skeleton.wait(timeout=30)
-            return original_skeleton(cache_self, build_key)
-
-        monkeypatch.setattr(EngineCache, "_engine_skeleton", gated_skeleton)
+        monkeypatch.setattr(PrivateTransformerInference, "prepare", gated_prepare)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            build = cache.prefetch(key, pool)
-            assert skeleton_reached.wait(timeout=30)
+            build = pool.submit(cache.entry, key)
+            assert build_started.wait(timeout=30)
             runtime.register_model("m", model_b)
-            release_skeleton.set()
+            release_build.set()
             entry = build.result(timeout=120)
         assert entry.engine.model is model_b
+        # The fenced build persisted nothing; only model_b's plan is stored.
+        assert cache.plan_store.stats().entries == 1
 
         # The gold assertion: a fresh process warm-starting for model_b
         # must serve model_b's logits, not model_a's.
@@ -148,23 +140,6 @@ class TestInvalidateVersusInflightBuild:
         engine = fresh.engine_for("m")
         expected, _ = run_sequential_baseline(model_b, [tokens])
         assert np.array_equal(engine.run(tokens).logits, expected[0])
-
-    def test_remote_plan_adoption_counts_in_stats(self, model_a):
-        from concurrent.futures import Future
-
-        from repro.runtime.executor import _prepare_plan_remote
-
-        runtime = ServingRuntime({"m": model_a}, seed=5)
-        cache = runtime.engine_cache
-        key = BatchKey(kind="inference", model="m", variant=FPC)
-        future: Future = Future()
-        future.set_result(_prepare_plan_remote(*cache.remote_prepare_args(key)))
-        cache.adopt_plan_future(key, future)
-        entry = cache.entry(key)
-        assert entry.prepare_seconds == 0.0
-        stats = cache.stats()
-        assert stats.remote_builds == 1
-        assert stats.cold_builds == 0 and stats.warm_starts == 0
 
 
 class TestBoundedEngineCache:
@@ -308,11 +283,11 @@ class TestSchedulerQueueLock:
         assert len(drained) == len(expected)  # nothing dropped or duplicated
         assert set(drained) == expected
 
-    def test_submit_during_pipelined_drain_is_accounted(self, model_a):
-        """A submit racing ``run_pending_pipelined`` either joins that drain
-        or stays queued for the next one -- it never disappears."""
+    def test_submit_during_drain_is_accounted(self, model_a):
+        """A submit racing ``run_pending`` either joins that drain or stays
+        queued for the next one -- it never disappears."""
         rng = np.random.default_rng(2)
-        runtime = ServingRuntime({"a": model_a}, seed=5, num_workers=2)
+        runtime = ServingRuntime({"a": model_a}, seed=5)
         runtime.engine_for("a")  # keep the drain window tight
         first = runtime.submit("a", rng.integers(0, 40, size=6))
 
@@ -324,7 +299,7 @@ class TestSchedulerQueueLock:
 
         thread = threading.Thread(target=late_submitter)
         thread.start()
-        reports = runtime.run_pending_pipelined()
+        reports = runtime.run_pending()
         thread.join(timeout=60)
 
         drained_ids = {r.request_id for r in reports}

@@ -359,33 +359,27 @@ class TestEndToEndEquivalence:
         assert logits[0].size > 0
 
     def test_serving_drains_bit_identical_across_residency(self):
-        """Serial + pipelined drains with FHGS slot sharing: same logits."""
+        """Serving drains with FHGS slot sharing: same logits either domain."""
         from repro.protocols import protocol_he_parameters
 
         model = _tiny_model()
         rng = np.random.default_rng(9)
         tokens = [rng.integers(0, 40, size=6) for _ in range(4)]
 
-        def drain(backend_factory, pipelined: bool):
+        def drain(backend_factory):
             runtime = ServingRuntime(
                 {"tiny": model}, max_batch_size=4, seed=21,
                 backend_factory=backend_factory,
             )
             for t in tokens:
                 runtime.submit("tiny", t)
-            reports = (
-                runtime.run_pending_pipelined() if pipelined
-                else runtime.run_pending()
-            )
-            return [r.result for r in reports]
+            return [r.result for r in runtime.run_pending()]
 
         coeff_factory = lambda: SimulatedHEBackend(  # noqa: E731
             protocol_he_parameters(), eval_residency=False
         )
-        baseline = drain(None, pipelined=False)
-        for factory, pipelined in ((coeff_factory, False), (None, True), (coeff_factory, True)):
-            for got, expected in zip(drain(factory, pipelined), baseline, strict=True):
-                assert np.array_equal(got, expected)
+        for got, expected in zip(drain(coeff_factory), drain(None), strict=True):
+            assert np.array_equal(got, expected)
 
 
 class TestLinearServingPlans:

@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.he import kernels, toy_parameters
 from repro.he.ntt import get_ntt_context
 from repro.nn import BERT_BASE, TransformerEncoder, scaled_config
-from repro.protocols import PRIMER_F, PRIMER_FPC, PrivateTransformerInference
+from repro.protocols import PRIMER_FPC, PrivateTransformerInference
 from repro.protocols.planstore import PlanStore
 from repro.runtime import (
     ALL_SITES,
@@ -57,7 +57,6 @@ from repro.runtime.faults import (
     SITE_ONLINE_EXECUTE,
     SITE_PLANSTORE_LOAD,
     SITE_PLANSTORE_STORE,
-    SITE_WORKER_SHARD,
     fault_seed_from_env,
 )
 from repro.runtime.serving import summarize
@@ -383,7 +382,6 @@ class TestRetryPath:
         stats = summarize(reports)
         assert stats.retried_requests == len(retried)
         assert stats.total_attempts == len(reports) + len(retried)
-        assert stats.degraded_requests == 0
 
     def test_exhausted_attempts_fail_typed(self, small_model, workload):
         """A persistent fault fails the request with attempts == max_attempts."""
@@ -715,32 +713,6 @@ class TestPlanStoreFaults:
         assert store.stats().io_errors == 2
 
 
-class TestWorkerShardFallback:
-    def test_shard_fault_degrades_to_serial_re_execution(
-        self, small_model, workload, fault_free_logits
-    ):
-        runtime = ServingRuntime(
-            {"tiny": small_model}, max_batch_size=4, seed=21, num_workers=2
-        )
-        ids = [runtime.submit("tiny", tokens) for tokens in workload[:4]]
-        plan = FaultPlan(
-            rules=(FaultRule(site=SITE_WORKER_SHARD, fires=(1,)),), seed=SEED
-        )
-        with fault_scope(plan) as injector:
-            reports = runtime.run_pending_pipelined()
-        assert injector.fired_count(SITE_WORKER_SHARD) == 1
-        assert runtime.pipeline.serial_fallbacks == 1
-        degraded = [r for r in reports if r.degraded]
-        assert degraded, "the faulted shard batch must be marked degraded"
-        assert all(r.worker is None for r in degraded)  # re-run serially
-        for rid, tokens in zip(ids, workload[:4], strict=True):
-            assert np.array_equal(
-                runtime.result(rid).result, fault_free_logits[tokens.tobytes()]
-            )
-        stats = summarize(reports)
-        assert stats.degraded_requests == len(degraded)
-
-
 class TestKernelFallback:
     class _FlakyTier(kernels.KernelTier):
         """Delegates to the reference tier (so fault injection alone fails it)."""
@@ -918,22 +890,5 @@ class TestConservationUnderFaultsEverywhere:
                 assert np.array_equal(
                     report.result, fault_free_logits[tokens.tobytes()]
                 )
-            # Pipelined drain under the same plan: the worker-shard and
-            # offline-prepare sites get exercised on a fresh runtime.
-            runtime = ServingRuntime(
-                {"tiny": small_model}, max_batch_size=2, seed=21, num_workers=2
-            )
-            ids = [runtime.submit("tiny", tokens) for tokens in workload[:4]]
-            try:
-                reports = runtime.run_pending_pipelined()
-            except Exception as exc:  # noqa: BLE001 - typed failures allowed
-                assert isinstance(exc, (TransientFault, EngineQuarantined))
-            else:
-                assert {r.request_id for r in reports} == set(ids)
-                for rid, tokens in zip(ids, workload[:4], strict=True):
-                    assert np.array_equal(
-                        runtime.result(rid).result,
-                        fault_free_logits[tokens.tobytes()],
-                    )
         assert injector.fired_count() > 0, "the plan must have actually fired"
         assert admission.inflight_bytes == 0

@@ -1,7 +1,7 @@
 """Compiled/parallel kernel tier: bit-identity, selection, calibration.
 
 The kernel tier moves the NTT butterflies and the BSGS inner loop into
-compiled (and optionally multicore / numba-jitted) implementations behind
+compiled (and optionally multicore) implementations behind
 :mod:`repro.he.kernels`.  The whole contract is *bit-identity*: every tier
 must produce exactly the arrays the ``reference`` numpy path produces --
 per primitive (forward/inverse NTT, pointwise multiply, fused accumulate)
@@ -283,18 +283,5 @@ class TestWarm:
     @pytest.mark.parametrize("tier", NON_REFERENCE)
     def test_warm_tier_builds_packed_tables(self, tier):
         ctx = get_ntt_context(64, toy_parameters(64).ciphertext_modulus)
-        kernels.warm_tier(ctx, tier)
+        kernels.active_tier(tier).warm(ctx)
         assert getattr(ctx, "_kernel_tables", None) is not None
-
-    def test_warm_ntt_cache_warms_active_tier(self):
-        from repro.he import warm_ntt_cache
-
-        params = toy_parameters(64)
-        tier = NON_REFERENCE[0] if NON_REFERENCE else "reference"
-        warmed = warm_ntt_cache(
-            [(params.ring_degree, params.ciphertext_modulus)], kernel_tier=tier
-        )
-        ctx = get_ntt_context(params.ring_degree, params.ciphertext_modulus)
-        if NON_REFERENCE:
-            assert getattr(ctx, "_kernel_tables", None) is not None
-        assert warmed

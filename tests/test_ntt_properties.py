@@ -23,7 +23,6 @@ from repro.he import (
     NTTContext,
     SimulatedHEBackend,
     batch_ntt,
-    cached_ntt_parameters,
     clear_ntt_cache,
     find_ntt_prime,
     get_ntt_context,
@@ -31,8 +30,8 @@ from repro.he import (
     primitive_root,
     serving_parameters,
     toy_parameters,
-    warm_ntt_cache,
 )
+from repro.he import ntt as ntt_module
 from repro.he import test_parameters as midsize_parameters  # avoid pytest collection
 from repro.he.polyring import PolynomialRing
 
@@ -258,13 +257,17 @@ class TestLazyReductionEquivalence:
 
 
 class TestBoundedCache:
+    @staticmethod
+    def _cached_pairs() -> list[tuple[int, int]]:
+        return list(ntt_module._context_cache)
+
     def test_cache_is_bounded_and_clearable(self):
         clear_ntt_cache()
         for degree in (8, 16, 32, 64):
             get_ntt_context(degree, find_ntt_prime(24, degree))
-        assert len(cached_ntt_parameters()) == 4
+        assert len(self._cached_pairs()) == 4
         clear_ntt_cache()
-        assert cached_ntt_parameters() == []
+        assert self._cached_pairs() == []
         # A cleared cache rebuilds transparently.
         n, q = 64, find_ntt_prime(28, 64)
         assert get_ntt_context(n, q) is get_ntt_context(n, q)
@@ -272,15 +275,11 @@ class TestBoundedCache:
     def test_recent_parameters_track_lru_order(self):
         clear_ntt_cache()
         pairs = [(8, find_ntt_prime(20, 8)), (16, find_ntt_prime(20, 16))]
-        warm_ntt_cache(pairs)
-        assert cached_ntt_parameters() == pairs
+        for pair in pairs:
+            get_ntt_context(*pair)
+        assert self._cached_pairs() == pairs
         get_ntt_context(*pairs[0])  # touch: moves to most-recent
-        assert cached_ntt_parameters() == [pairs[1], pairs[0]]
-
-    def test_warm_ntt_cache_defaults_to_current_tables(self):
-        clear_ntt_cache()
-        get_ntt_context(8, find_ntt_prime(20, 8))
-        assert warm_ntt_cache() == 1
+        assert self._cached_pairs() == [pairs[1], pairs[0]]
 
 
 class TestEntryPointsAndCaching:

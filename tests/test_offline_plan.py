@@ -3,10 +3,10 @@
 The offline phase of every protocol module is now an immutable artifact
 (:class:`~repro.protocols.plan.OfflinePlan`): ``prepare()`` produces it
 without touching execution state, ``install()`` adopts it, and ``offline()``
-composes the two.  These tests pin down the contract the pipelined serving
-executor relies on: plans are transferable between engines of the same
-``(model, variant)``, survive pickling (they cross process boundaries), and
-installation is validated.
+composes the two.  These tests pin down the contract the engine cache and
+the persistent plan store rely on: plans are transferable between engines of
+the same ``(model, variant)``, survive pickling (the plan store writes them
+to disk for later processes), and installation is validated.
 """
 
 from __future__ import annotations

@@ -238,7 +238,13 @@ class TestEngineCacheWarmStart:
             seed=7,
         )
         runtime.engine_for("tiny")
+        assert not runtime.engine_cache.persists_plans
         assert runtime.engine_cache.plan_store.entry_count() == 0
+
+    def test_persistence_needs_a_store_on_the_default_backend(self, tmp_path, small_model):
+        stored = ServingRuntime({"tiny": small_model}, plan_store=tmp_path)
+        assert stored.engine_cache.persists_plans
+        assert not ServingRuntime({"tiny": small_model}).engine_cache.persists_plans
 
 
 class TestGarbageCollection:

@@ -1,15 +1,10 @@
-"""Property tests for scheduling policies and the pipelined executor.
+"""Property tests for scheduling policies.
 
-Two families of guarantees:
-
-1. Every :class:`~repro.runtime.scheduler.SchedulingPolicy` preserves
-   *per-key FIFO fairness*: batches are single-key, contain the oldest
-   queued request of their key (no head starvation), serve each key's
-   requests in arrival order, and a full drain serves everything exactly
-   once.  Hypothesis drives random arrival patterns through all policies.
-
-2. The pipelined multi-worker drain is *bit-identical* to the serial
-   ``run_pending()`` drain for all four Primer variants.
+Every :class:`~repro.runtime.scheduler.SchedulingPolicy` preserves *per-key
+FIFO fairness*: batches are single-key, contain the oldest queued request of
+their key (no head starvation), serve each key's requests in arrival order,
+and a full drain serves everything exactly once.  Hypothesis drives random
+arrival patterns through all policies.
 """
 
 from __future__ import annotations
@@ -19,14 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols import ALL_VARIANTS
 from repro.runtime import (
     BatchKey,
     BatchScheduler,
     DeadlinePolicy,
     FifoPolicy,
     InferenceRequest,
-    ServingRuntime,
     SizeAwarePolicy,
 )
 
@@ -168,86 +161,3 @@ class TestPolicyFairnessProperties:
         scheduler.submit(InferenceRequest("b0", b, None, deadline=10.0))
         batches = scheduler.drain()
         assert [batch.key for batch in batches] == [b, a]
-
-
-@pytest.fixture(scope="module")
-def two_tiny_models():
-    from repro.nn import BERT_BASE, TransformerEncoder, scaled_config
-
-    config = scaled_config(
-        BERT_BASE, embed_dim=16, num_heads=2, seq_len=6, vocab_size=40, num_blocks=1
-    )
-    return {
-        "tiny-a": TransformerEncoder.initialise(config, seed=3),
-        "tiny-b": TransformerEncoder.initialise(config, seed=4),
-    }
-
-
-class TestPipelinedEquivalence:
-    def test_pipelined_bit_identical_to_serial_all_variants(self, two_tiny_models):
-        """Sharded pipelined drain == serial drain, for all four variants."""
-        rng = np.random.default_rng(5)
-        tokens = [rng.integers(0, 40, size=6) for _ in range(2 * len(ALL_VARIANTS))]
-
-        def submit_all(runtime: ServingRuntime) -> list[str]:
-            ids = []
-            for index, t in enumerate(tokens):
-                model = "tiny-a" if index % 2 == 0 else "tiny-b"
-                variant = ALL_VARIANTS[index % len(ALL_VARIANTS)]
-                ids.append(runtime.submit(model, t, variant=variant))
-            return ids
-
-        serial = ServingRuntime(two_tiny_models, max_batch_size=2, seed=9)
-        submit_all(serial)
-        serial_reports = serial.run_pending()
-
-        pipelined = ServingRuntime(two_tiny_models, max_batch_size=2, seed=9, num_workers=3)
-        submit_all(pipelined)
-        pipelined_reports = pipelined.run_pending_pipelined()
-
-        assert [r.request_id for r in serial_reports] == [
-            r.request_id for r in pipelined_reports
-        ]
-        for serial_report, pipelined_report in zip(serial_reports, pipelined_reports, strict=True):
-            assert np.array_equal(serial_report.result, pipelined_report.result)
-            assert serial_report.prediction == pipelined_report.prediction
-        # All four variants actually ran.
-        assert {r.variant for r in pipelined_reports} == {
-            v.name for v in ALL_VARIANTS
-        }
-
-    def test_pipelined_reports_carry_worker_attribution(self, two_tiny_models):
-        rng = np.random.default_rng(6)
-        runtime = ServingRuntime(two_tiny_models, max_batch_size=4, seed=1, num_workers=2)
-        for index in range(4):
-            runtime.submit(
-                "tiny-a" if index % 2 == 0 else "tiny-b",
-                rng.integers(0, 40, size=6),
-            )
-        reports = runtime.run_pending_pipelined()
-        assert all(report.worker is not None for report in reports)
-        # Distinct (model, variant) keys land on distinct shard workers.
-        assert len({report.worker for report in reports}) == 2
-        # The engines' trackers and channels carry the same worker tags.
-        for model in ("tiny-a", "tiny-b"):
-            engine = runtime.engine_for(model)
-            assert engine.tracker.workers()
-            assert engine.channel.workers() == engine.tracker.workers()
-
-    def test_pipelined_accounting_matches_serial(self, two_tiny_models):
-        """Per-request online bytes/rounds/ops agree between the two drains."""
-        rng = np.random.default_rng(8)
-        tokens = [rng.integers(0, 40, size=6) for _ in range(4)]
-
-        def run(pipelined: bool):
-            runtime = ServingRuntime(two_tiny_models, max_batch_size=2, seed=2, num_workers=2)
-            for index, t in enumerate(tokens):
-                runtime.submit("tiny-a" if index % 2 == 0 else "tiny-b", t)
-            if pipelined:
-                return runtime.run_pending_pipelined()
-            return runtime.run_pending()
-
-        for serial_report, pipelined_report in zip(run(False), run(True), strict=True):
-            assert serial_report.online_bytes == pipelined_report.online_bytes
-            assert serial_report.online_rounds == pipelined_report.online_rounds
-            assert serial_report.he_operations == pipelined_report.he_operations

@@ -10,6 +10,7 @@ from repro.errors import ProtocolError
 from repro.he import ExactBFVBackend, SimulatedHEBackend, serving_parameters, toy_parameters
 from repro.he.tracker import OperationTracker
 from repro.protocols import PRIMER_F, PRIMER_FPC, Phase
+from repro.protocols.channel import Channel
 from repro.runtime import (
     BatchKey,
     BatchScheduler,
@@ -399,9 +400,9 @@ class TestReviewRegressions:
         with pytest.raises(ProtocolError):
             runtime.submit("tiny", np.zeros(6, dtype=np.int64), variant=impostor)
 
-    def test_pipelined_failure_keeps_completed_batches(self, tiny_model, rng):
+    def test_failure_keeps_completed_batches(self, tiny_model, rng):
         """A failing batch must not lose reports of batches that finished."""
-        runtime = ServingRuntime({"tiny": tiny_model}, num_workers=2, seed=4)
+        runtime = ServingRuntime({"tiny": tiny_model}, seed=4)
         runtime.register_weights("proj", rng.integers(0, 7, size=(16, 4)))
         inference_id = runtime.submit("tiny", rng.integers(0, 40, size=6))
         runtime.submit_linear("proj", rng.integers(0, 50, size=(8, 16)))
@@ -409,7 +410,7 @@ class TestReviewRegressions:
         # its batch-time re-validation while the inference batch succeeds.
         runtime._weight_banks["proj"] = rng.integers(0, 7, size=(8, 4))
         with pytest.raises(ProtocolError):
-            runtime.run_pending_pipelined()
+            runtime.run_pending()
         report = runtime.result(inference_id)
         assert report.request_id == inference_id
 
@@ -450,12 +451,64 @@ class TestTrackerAttribution:
         assert tracker.request_snapshot("r2") == {"op": 2}
         assert tracker.unattributed() == {"op": 2}
 
-    def test_merge_preserves_request_attribution(self):
-        a, b = OperationTracker(), OperationTracker()
-        with a.attribute("r1"):
-            a.record("x", bytes_moved=10)
-        with b.attribute("r1"):
-            b.record("x", bytes_moved=5)
-        a.merge(b)
-        assert a.request_snapshot("r1") == {"x": 2}
-        assert a.request_bytes["r1"] == 15
+
+class TestChannelRunningTotals:
+    def test_phase_totals_match_a_rescan_and_never_filter_the_log(
+        self, tiny_model, rng, monkeypatch
+    ):
+        """Per-phase bytes/rounds are running totals: they equal a rescan of
+        the message log, and serving a batch never rescans that log."""
+        runtime = ServingRuntime({"tiny": tiny_model}, max_batch_size=2, seed=4)
+        engine = runtime.engine_for("tiny")
+        channel = engine.channel
+        results = engine.run_batch([rng.integers(0, 40, size=6) for _ in range(2)])
+
+        def rescan(phase):
+            picked = [m for m in channel.messages if phase is None or m.phase is phase]
+            return sum(m.num_bytes for m in picked), len(picked)
+
+        for phase in (Phase.ONLINE, Phase.OFFLINE, None):
+            assert (channel.total_bytes(phase), channel.round_count(phase)) == rescan(phase)
+        last = results[-1]
+        assert (last.online_bytes, last.online_rounds) == rescan(Phase.ONLINE)
+        assert (last.offline_bytes, last.offline_rounds) == rescan(Phase.OFFLINE)
+
+        filtered_calls = []
+        original = Channel._filtered
+
+        def counting_filtered(self, *args, **kwargs):
+            filtered_calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "_filtered", counting_filtered)
+        for _ in range(2):
+            runtime.submit("tiny", rng.integers(0, 40, size=6))
+        assert len(runtime.run_pending()) == 2
+        assert filtered_calls == []
+
+    def test_step_filters_and_reset_agree_with_a_rescan(self):
+        channel = Channel()
+        sends = [
+            ("a", Phase.OFFLINE, None, 5),
+            ("a", Phase.ONLINE, "r1", 7),
+            ("b", Phase.ONLINE, "r1", 11),
+            ("b", Phase.ONLINE, None, 13),
+        ]
+        for step, phase, request, num_bytes in sends:
+            channel.set_request(request)
+            channel.send("client", "server", num_bytes, step=step, phase=phase)
+        channel.set_request(None)
+        for phase in (Phase.ONLINE, Phase.OFFLINE, None):
+            for step in ("a", "b", None):
+                for request in ("r1", None):
+                    picked = [
+                        n for s, p, r, n in sends
+                        if (phase is None or p is phase)
+                        and (step is None or s == step)
+                        and (request is None or r == request)
+                    ]
+                    assert channel.total_bytes(phase, step, request) == sum(picked)
+                    assert channel.round_count(phase, step, request) == len(picked)
+        channel.reset()
+        assert channel.total_bytes() == channel.round_count() == 0
+        assert channel.total_bytes(Phase.ONLINE, request="r1") == 0
