@@ -1,6 +1,6 @@
 """Serving benchmark: batched vs sequential private inference throughput.
 
-Nine comparisons, mirroring the levels the serving runtime batches at:
+The comparisons mirror the levels the serving runtime batches at:
 
 1. **Shared-slot HE batches** on the *exact BFV backend*: eight private
    ``X @ W`` requests packed tokens-first into shared ciphertext slots versus
