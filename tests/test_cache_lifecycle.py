@@ -98,6 +98,42 @@ class TestInvalidateVersusInflightBuild:
         assert stats.entries == 0
         assert stats.invalidations == 1
 
+    def test_concurrent_misses_on_one_key_build_once(self, model_a, monkeypatch):
+        """Two threads missing on the same key share one build: the second
+        waits on the key lock and is served the first thread's engine."""
+        runtime = ServingRuntime({"m": model_a}, seed=5)
+        cache = runtime.engine_cache
+        key = BatchKey(kind="inference", model="m", variant=FPC)
+
+        prepares = []
+        build_started = threading.Event()
+        release_build = threading.Event()
+        original_prepare = PrivateTransformerInference.prepare
+
+        def gated_prepare(engine):
+            prepares.append(engine)
+            build_started.set()
+            assert release_build.wait(timeout=30)
+            return original_prepare(engine)
+
+        monkeypatch.setattr(PrivateTransformerInference, "prepare", gated_prepare)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(cache.entry, key)
+            assert build_started.wait(timeout=30)
+            second = pool.submit(cache.entry, key)
+            # Let the second caller reach the key lock while the first
+            # build is still paused.
+            time.sleep(0.05)
+            release_build.set()
+            entries = [first.result(timeout=120), second.result(timeout=120)]
+
+        assert entries[0] is entries[1]
+        assert len(prepares) == 1
+        stats = cache.stats()
+        assert stats.cold_builds == 1 and stats.warm_starts == 0
+        assert stats.entries == 1
+
     def test_fenced_build_does_not_poison_the_plan_store(
         self, tmp_path, model_a, model_b, monkeypatch
     ):

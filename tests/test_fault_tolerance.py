@@ -15,6 +15,7 @@ the recovery machinery itself.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -50,6 +51,7 @@ from repro.runtime import (
     ServingRuntime,
     active_injector,
     fault_scope,
+    faults,
 )
 from repro.runtime.faults import (
     SITE_ENGINE_BUILD,
@@ -124,6 +126,16 @@ class TestFaultInjector:
             FaultRule(site=SITE_ONLINE_EXECUTE, rate=1.5)
         with pytest.raises(ProtocolError):
             FaultRule(site=SITE_ONLINE_EXECUTE)  # neither fires nor rate
+
+    def test_registry_matches_the_documented_site_table(self):
+        """``ALL_SITES`` and the module docstring's site table list the same
+        sites in the same order; a retired site name is rejected like any
+        other unknown one."""
+        documented = re.findall(r"^``(\w+)``", faults.__doc__, flags=re.MULTILINE)
+        assert tuple(documented) == ALL_SITES
+        for retired in ("worker_shard", "offline_prepare"):
+            with pytest.raises(ProtocolError, match="unknown fault site"):
+                FaultRule(site=retired, fires=(1,))
 
     def test_occurrence_schedule_fires_exactly_as_listed(self):
         plan = FaultPlan(

@@ -223,6 +223,17 @@ class TestSelection:
             with pytest.raises(ParameterError):
                 kernels.set_kernel_tier(name)
 
+    def test_registry_and_availability_reasons_agree(self):
+        """The registry holds the reference, compiled and multicore tiers; a
+        tier is available exactly when it gives no unavailability reason, and
+        a name outside the registry is unknown rather than unavailable."""
+        assert set(kernels._TIERS) == {"reference", "compiled", "multicore"}
+        for name, tier in kernels._TIERS.items():
+            assert (name in TIERS) == tier.available
+            assert (tier.unavailable_reason() is None) == tier.available
+        with pytest.raises(ParameterError, match="unknown kernel tier 'numba'"):
+            kernels.set_kernel_tier("numba")
+
     def test_env_variable_selects_tier(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "reference")
         assert kernels.active_tier_name() == "reference"

@@ -1,10 +1,17 @@
 """Property tests for scheduling policies.
 
-Every :class:`~repro.runtime.scheduler.SchedulingPolicy` preserves *per-key
-FIFO fairness*: batches are single-key, contain the oldest queued request of
-their key (no head starvation), serve each key's requests in arrival order,
-and a full drain serves everything exactly once.  Hypothesis drives random
-arrival patterns through all policies.
+Two families of guarantees:
+
+1. Every :class:`~repro.runtime.scheduler.SchedulingPolicy` preserves
+   *per-key FIFO fairness*: batches are single-key, contain the oldest
+   queued request of their key (no head starvation), serve each key's
+   requests in arrival order, and a full drain serves everything exactly
+   once.  Hypothesis drives random arrival patterns through all policies.
+
+2. Service order is invisible in the results: whichever policy orders the
+   drain, and whether it runs as a serial ``run_pending()`` pass or behind
+   the async front door, every request's logits and per-request accounting
+   are bit-identical, for all four Primer variants.
 """
 
 from __future__ import annotations
@@ -14,12 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.protocols import ALL_VARIANTS
 from repro.runtime import (
+    AsyncServingRuntime,
     BatchKey,
     BatchScheduler,
     DeadlinePolicy,
     FifoPolicy,
     InferenceRequest,
+    ServingRuntime,
     SizeAwarePolicy,
 )
 
@@ -161,3 +171,94 @@ class TestPolicyFairnessProperties:
         scheduler.submit(InferenceRequest("b0", b, None, deadline=10.0))
         batches = scheduler.drain()
         assert [batch.key for batch in batches] == [b, a]
+
+
+@pytest.fixture(scope="module")
+def two_tiny_models():
+    from repro.nn import BERT_BASE, TransformerEncoder, scaled_config
+
+    config = scaled_config(
+        BERT_BASE, embed_dim=16, num_heads=2, seq_len=6, vocab_size=40, num_blocks=1
+    )
+    return {
+        "tiny-a": TransformerEncoder.initialise(config, seed=3),
+        "tiny-b": TransformerEncoder.initialise(config, seed=4),
+    }
+
+
+@pytest.fixture(scope="module")
+def mixed_jobs():
+    """(model, tokens, variant, deadline) over two models and all variants.
+
+    Deadlines tighten with arrival, so the deadline policy serves the queue
+    in a different order from FIFO.
+    """
+    rng = np.random.default_rng(5)
+    count = 2 * len(ALL_VARIANTS)
+    return [
+        (
+            "tiny-a" if index % 2 == 0 else "tiny-b",
+            rng.integers(0, 40, size=6),
+            ALL_VARIANTS[index % len(ALL_VARIANTS)],
+            float(100 - index),
+        )
+        for index in range(count)
+    ]
+
+
+def _serial_reports(models, jobs, policy=None):
+    """Reports of one ``run_pending()`` drain, in submission order, plus the
+    request ids in the order the drain served them."""
+    runtime = ServingRuntime(models, max_batch_size=2, seed=9, policy=policy)
+    ids = [
+        runtime.submit(model, tokens, variant=variant, deadline_seconds=deadline)
+        for model, tokens, variant, deadline in jobs
+    ]
+    served = [report.request_id for report in runtime.run_pending()]
+    return [runtime.result(rid) for rid in ids], served
+
+
+def _accounting(report):
+    return report.online_bytes, report.online_rounds, report.he_operations
+
+
+class TestDrainEquivalence:
+    def test_policies_serve_bit_identical_logits_all_variants(
+        self, two_tiny_models, mixed_jobs
+    ):
+        """Reordering the drain never changes a request's logits."""
+        fifo, _ = _serial_reports(two_tiny_models, mixed_jobs)
+        assert {r.variant for r in fifo} == {v.name for v in ALL_VARIANTS}
+        for policy in (DeadlinePolicy(), SizeAwarePolicy(slot_count=16)):
+            reports, _ = _serial_reports(two_tiny_models, mixed_jobs, policy)
+            for want, got in zip(fifo, reports, strict=True):
+                assert np.array_equal(want.result, got.result)
+                assert want.prediction == got.prediction
+
+    def test_policies_agree_on_per_request_accounting(
+        self, two_tiny_models, mixed_jobs
+    ):
+        """Per-request online bytes/rounds/ops do not depend on service order."""
+        fifo, fifo_order = _serial_reports(two_tiny_models, mixed_jobs)
+        edf, edf_order = _serial_reports(two_tiny_models, mixed_jobs, DeadlinePolicy())
+        # The deadline policy really did serve a different order.
+        assert edf_order != fifo_order
+        for want, got in zip(fifo, edf, strict=True):
+            assert _accounting(want) == _accounting(got)
+
+    def test_front_door_matches_serial_drain_all_variants(
+        self, two_tiny_models, mixed_jobs
+    ):
+        """The async front door serves what the serial drain serves: same
+        logits, same per-request accounting, and no fleet worker label."""
+        serial, _ = _serial_reports(two_tiny_models, mixed_jobs)
+        with AsyncServingRuntime(two_tiny_models, max_batch_size=2, seed=9) as door:
+            handles = [
+                door.submit(model, tokens, variant=variant)
+                for model, tokens, variant, _ in mixed_jobs
+            ]
+            reports = [handle.result(timeout=120) for handle in handles]
+        for want, got in zip(serial, reports, strict=True):
+            assert np.array_equal(want.result, got.result)
+            assert _accounting(want) == _accounting(got)
+            assert want.worker is None and got.worker is None
