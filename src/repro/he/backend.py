@@ -301,14 +301,15 @@ class ExactBFVBackend(HEBackend):
 
         Under a fused kernel tier the ``(C, O)`` scalar matrix contracts
         against the stacked ``(C, 2, L, N)`` ciphertext components in one
-        tensordot with a single final reduction -- no per-term scaled copies,
-        no per-addition intermediates.  ``mod`` distributes over the sum, so
-        residues are bit-identical to the reference loop; noise bounds are
-        accumulated in the loop's exact left-to-right float order and the
-        tracker sees identical ``he_mul_plain``/``he_add`` counts.  Falls
-        back to the reference loop for the ``reference`` tier, mixed-domain
-        operands, or scalar magnitudes that could overflow the unreduced
-        int64 accumulation.
+        float64 BLAS product with a single final reduction -- no per-term
+        scaled copies, no per-addition intermediates.  ``mod`` distributes
+        over the sum, so residues are bit-identical to the reference loop;
+        noise bounds are accumulated in the loop's exact left-to-right float
+        order and the tracker sees identical ``he_mul_plain``/``he_add``
+        counts.  Falls back to the reference loop for the ``reference``
+        tier, mixed-domain operands, or scalar magnitudes whose unreduced
+        sums could reach ``2**53`` (``kernels.FUSED_EXACT_BOUND``), past
+        which float64 stops being exact.
         """
         from . import kernels
 
@@ -325,7 +326,7 @@ class ExactBFVBackend(HEBackend):
         centered = np.where(residues > t // 2, residues - t, residues)
         q_col = self._context._q_col                                   # (L, 1)
         worst_l1 = int(np.abs(centered).sum(axis=0).max())
-        if worst_l1 and int(q_col.max()) * worst_l1 >= 1 << 62:
+        if int(q_col.max()) * worst_l1 >= kernels.FUSED_EXACT_BOUND:
             return super().linear_combine_batch(handles, weights)
         stacked = np.stack([np.stack([ct.c0, ct.c1]) for ct in cts])   # (C,2,L,N)
         combined = tier.fused_accumulate(centered, stacked, q_col)     # (O,2,L,N)

@@ -34,12 +34,13 @@ Double-CRT (RNS) ciphertexts: components are limb-major ``(L, N)`` arrays
 over an :class:`~repro.he.rns.RNSBasis` of NTT-friendly ≤30-bit primes, so
 every limb stays inside the lazy-reduction NTT bound and the int64
 pointwise-product invariants while the composite modulus ``Q`` grows to the
-60-bit-plus Gazelle-era deployments.  All evaluator operations act
-limb-wise; the big integer ``Q`` materialises exactly once, in the CRT
-composition at the decrypt boundary.  Every transform closed form gains a
-factor ``L`` -- one NTT per limb polynomial -- and a one-limb basis reproduces
-the historical single-modulus scheme bit for bit (same randomness stream,
-same residues, same transform counts).
+60-bit-plus Gazelle-era deployments.  Every operation acts limb-wise in
+int64/float64, the encode scaling and the decrypt rounding included (per-limb
+constants precomputed from ``Q`` once per context; no big integer on the
+per-request path).  Every transform closed form gains a factor ``L`` -- one
+NTT per limb polynomial -- and a one-limb basis reproduces the historical
+single-modulus scheme bit for bit (same randomness stream, same residues,
+same transform counts).
 """
 
 from __future__ import annotations
@@ -56,7 +57,31 @@ from .params import BFVParameters
 from .rns import RNSBasis, RNSPolynomialRing
 from .tracker import OperationTracker
 
-__all__ = ["Ciphertext", "EvalPlain", "BFVContext"]
+__all__ = ["Ciphertext", "EvalPlain", "BFVContext", "DECRYPT_MARGIN_BITS"]
+
+#: Largest ``t`` / limb count the int64 encode and float64 decrypt are exact for.
+MAX_PLAINTEXT_MODULUS = 1 << 31
+MAX_LIMBS = 32
+
+
+def hps_fraction_error(limbs: int) -> float:
+    """Bound on the float64 error of the decrypt fraction ``sum_i x_i theta_i``.
+
+    Each ``theta_i`` in [0, 1) is rounded once (error <= 2**-54) and
+    ``x_i < 2**30``; a float dot product of ``L`` terms in any order errs by
+    at most ``gamma_L sum |x_i theta_i|``, ``gamma_L = L u / (1 - L u)``,
+    ``u = 2**-53`` (Higham, Thm 3.1).  Six limbs give about 2**-17.7.
+    """
+    gamma = limbs * 2.0**-53 / (1 - limbs * 2.0**-53)
+    return limbs * 2.0**30 * (2.0**-54 + gamma)
+
+
+#: Noise-budget bits below which decryption is refused.  A ciphertext with
+#: budget ``b`` sits ``(1 - 2**-b) / 2`` away from a rounding boundary of
+#: ``t x / Q``; the float fraction sum can move it by ``hps_fraction_error``,
+#: so the rounding is exact whenever ``b > -log2(1 - 2 error)`` (about
+#: 3.5e-4 bits at ``MAX_LIMBS``).
+DECRYPT_MARGIN_BITS = -math.log2(1 - 2 * hps_fraction_error(MAX_LIMBS))
 
 
 @dataclass
@@ -152,17 +177,33 @@ class BFVContext:
     #: limb-wise reductions over (L, N) and (L, B, N) arrays.
     _q_col: np.ndarray = field(init=False, repr=False)
     _q_batch: np.ndarray = field(init=False, repr=False)
+    #: per-limb encode constant ``floor(Q/t) mod q_i`` and decrypt constants
+    #: ``t q~_i / q_i = omega_i + theta_i`` (``q~_i = (Q/q_i)^-1 mod q_i``).
+    _delta_limbs: np.ndarray = field(init=False, repr=False)
+    _omega: np.ndarray = field(init=False, repr=False)
+    _theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        basis = RNSBasis(primes=tuple(self.params.ciphertext_moduli))
+        primes = tuple(self.params.ciphertext_moduli)
+        t = self.params.plaintext_modulus
+        if t > MAX_PLAINTEXT_MODULUS or len(primes) > MAX_LIMBS:
+            raise ParameterError(
+                f"the exact backend needs t <= 2**31 and at most {MAX_LIMBS} limbs"
+            )
+        basis = RNSBasis(primes=primes)
         self.ring = RNSPolynomialRing(
             degree=self.params.ring_degree,
             basis=basis,
             kernel_tier=self.params.kernel_tier,
         )
-        q = np.array(basis.primes, dtype=np.int64)
+        q = np.array(primes, dtype=np.int64)
         self._q_col = q[:, None]
         self._q_batch = q[:, None, None]
+        big_q = basis.product
+        self._delta_limbs = np.array([big_q // t % qi for qi in primes], dtype=np.int64)
+        tilde = [(t * pow(big_q // qi, -1, qi), qi) for qi in primes]
+        self._omega = np.array([w // qi for w, qi in tilde], dtype=np.int64)
+        self._theta = np.array([w % qi / qi for w, qi in tilde])
         self._rng = np.random.default_rng(self.seed)
         if self.tracker is None:
             self.tracker = OperationTracker()
@@ -190,10 +231,6 @@ class BFVContext:
     def secret_key(self) -> SecretKey:
         return self._secret
 
-    @property
-    def public_key(self) -> PublicKey:
-        return self._public
-
     # -- encoding ----------------------------------------------------------
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Pack integer residues (mod t) into a plaintext polynomial.
@@ -220,24 +257,22 @@ class BFVContext:
 
     # -- encryption --------------------------------------------------------
     def _scale_plaintext(self, plain: np.ndarray) -> np.ndarray:
-        """Scale a plaintext polynomial by ``Q/t`` with exact rounding.
+        """``round(Q m / t) mod q_i`` per limb, limb-major ``(L,) + plain.shape``.
 
-        Using ``round(Q * m / t)`` instead of ``floor(Q/t) * m`` removes the
-        ``m * (Q mod t) / Q`` decryption error that the naive Delta-scaling
-        introduces for large plaintext residues.  The result is limb-major:
-        ``(L,) + plain.shape``.  Single-limb parameters take the historical
-        int64 fast path (``m * q < 2**61`` for every supported ``t``);
-        multi-limb parameters form ``round(Q m / t)`` in exact big-int
-        arithmetic -- this is an encode-time constant, not hot-path work --
-        and decompose it into the limbs.
+        With ``Q = floor(Q/t) t + (Q mod t)`` the rounded scaling splits
+        exactly into ``floor(Q/t) m + ((Q mod t) m + t // 2) // t``, whose
+        first factor is reduced mod ``q_i`` once per context.  For residues
+        ``0 <= m < t <= 2**31`` and limbs ``q_i < 2**30`` every intermediate
+        is below ``2**62``, so the whole encode is exact int64 arithmetic.
+        Rounding instead of ``floor(Q/t) m`` removes the ``m (Q mod t) / Q``
+        decryption error the naive Delta-scaling introduces.
         """
-        q = self.params.ciphertext_modulus
         t = self.params.plaintext_modulus
-        if self.limb_count == 1:
-            scaled = (plain.astype(np.int64) * q + t // 2) // t
-            return np.mod(scaled, q)[None, ...]
-        scaled = (plain.astype(object) * q + t // 2) // t
-        return self.ring.basis.decompose(scaled % q)
+        carry = (plain * (self.ring.modulus % t) + t // 2) // t
+        lead = (-1,) + (1,) * plain.ndim
+        return np.mod(
+            self._delta_limbs.reshape(lead) * plain + carry, self._q_col.reshape(lead)
+        )
 
     def encrypt(self, values: np.ndarray, *, domain: Domain | None = None) -> Ciphertext:
         """Encrypt a vector of plaintext residues (coefficient-packed)."""
@@ -248,19 +283,13 @@ class BFVContext:
     ) -> list[Ciphertext]:
         """Encrypt many residue vectors with one batched NTT pass per limb.
 
-        All the randomness of the batch is sampled up front and the random
-        polynomials ``u`` go through a single batched forward transform per
-        limb.  The output ``domain`` (default: :attr:`default_domain`)
-        decides the second transform call: producing COEFF ciphertexts pulls
-        the pointwise products with the cached NTT-form public key back
-        through one stacked batched inverse, while producing EVAL
-        ciphertexts pushes the noise/message polynomials *forward* instead
-        and never leaves the evaluation domain -- three transforms per limb
-        per ciphertext either way (``3 B L`` total, recorded on the
-        tracker), with the ``log N`` Python-level stage iterations of the
-        lazy-reduction NTT amortised across the batch.  Both domains consume
-        the randomness stream in the same order, so the two forms are NTT
-        images of one another bit-exactly.
+        The batch's randomness is sampled up front and every ``u`` goes
+        through one batched forward transform per limb.  COEFF output pulls
+        the products with the NTT-form public key back through one stacked
+        inverse; EVAL output (the :attr:`default_domain`) pushes the
+        noise/message polynomials forward instead.  Either way it costs
+        ``3 B L`` transforms, and both consume the randomness stream in the
+        same order, so the two forms are NTT images of one another.
         """
         if not values_list:
             return []
@@ -376,21 +405,24 @@ class BFVContext:
         and pay exactly *one* inverse per limb -- the only transforms the
         evaluation-resident hot path ever pays per output ciphertext.
 
-        Rounding is the only place the composite modulus ``Q`` exists:
-        single-limb parameters keep the historical float64 path (exactness
-        argument: ``q`` odd prime and ``t < q`` make ties impossible, and
-        the float error is orders of magnitude below the distance to the
-        nearest tie), while multi-limb parameters CRT-compose the limbs and
-        round ``centered * t / Q`` in exact big-int arithmetic.
+        Rounding is the scale-and-round of Halevi-Polyakov-Shoup (CT-RSA
+        2019), in int64/float64 with no big integer.  With CRT residues
+        ``x_i`` of ``x = c0 + c1 s mod Q``, ``sum_i x_i t q~_i / q_i = t x / Q
+        + v t`` for an integer ``v``, so ``round(t x / Q) mod t`` is
+        ``(sum_i x_i omega_i + rint(sum_i x_i theta_i)) mod t`` for the
+        integer parts ``omega_i < t`` and float fractions ``theta_i`` of the
+        per-limb constants.  ``Q`` is odd, so no exact tie exists, and the
+        float sum errs by at most :func:`hps_fraction_error`; ciphertexts
+        whose budget is not above :data:`DECRYPT_MARGIN_BITS` are refused,
+        which makes every accepted decryption exact.
         """
         if not cts:
             return []
         for ct in cts:
-            if self.noise_budget(ct) <= 0:
+            if self.noise_budget(ct) <= DECRYPT_MARGIN_BITS:
                 raise NoiseBudgetExhausted(
                     "ciphertext noise budget exhausted; decryption would be incorrect"
                 )
-        t = self.params.plaintext_modulus
         limbs = self.limb_count
         qb = self._q_batch
         ring = self.ring
@@ -414,32 +446,28 @@ class BFVContext:
             )
             raw[:, eval_idx] = ring.inverse_batch(combined)
             self.tracker.record_transforms(inverse=len(eval_idx) * limbs)
-        if limbs == 1:
-            q = self.params.ciphertext_modulus
-            half = q // 2
-            centered = np.where(raw[0] > half, raw[0] - q, raw[0]).astype(np.float64)
-            scaled = np.rint(centered * t / q).astype(np.int64)
-        else:
-            big_q = self.params.ciphertext_modulus
-            composed = ring.compose(raw)
-            centered = np.where(composed > big_q // 2, composed - big_q, composed)
-            # round(centered * t / Q), half-up; Q is odd so exact ties cannot
-            # occur and half-up equals round-to-nearest.
-            scaled = ((2 * centered * t + big_q) // (2 * big_q)).astype(np.int64)
         self.tracker.record("decrypt", count=len(cts))
-        result = np.mod(scaled, t)
+        result = self._scale_and_round(raw)
         if counts is None:
             counts = [ct.slots_used for ct in cts]
         return [result[i, : counts[i]] for i in range(len(cts))]
 
+    def _scale_and_round(self, raw: np.ndarray) -> np.ndarray:
+        """``round(t x / Q) mod t`` of limb-major residues ``raw`` (``(L, ...)``).
+
+        Each ``x_i omega_i < 2**61`` is reduced mod ``t`` before the limb sum.
+        """
+        t = self.params.plaintext_modulus
+        lead = (-1,) + (1,) * (raw.ndim - 1)
+        whole = np.mod(raw * self._omega.reshape(lead), t).sum(axis=0)
+        fraction = self._theta @ raw.reshape(raw.shape[0], -1)
+        return np.mod(whole + np.rint(fraction).astype(np.int64).reshape(whole.shape), t)
+
     def noise_budget(self, ct: Ciphertext) -> float:
         """Bits of noise headroom remaining (analytic estimate)."""
-        q = self.params.ciphertext_modulus
-        t = self.params.plaintext_modulus
-        limit = q / (2.0 * t)
-        if ct.noise_bound <= 0:
-            return math.log2(limit)
-        return math.log2(limit) - math.log2(ct.noise_bound)
+        limit = self.params.ciphertext_modulus / (2.0 * self.params.plaintext_modulus)
+        noise = math.log2(ct.noise_bound) if ct.noise_bound > 0 else 0.0
+        return math.log2(limit) - noise
 
     # -- homomorphic operations --------------------------------------------
     def _aligned(self, a: Ciphertext, b: Ciphertext) -> tuple[Ciphertext, Ciphertext]:

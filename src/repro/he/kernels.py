@@ -1,46 +1,33 @@
 """Runtime-selectable HE kernel tiers: reference, compiled, multicore.
 
-PR 5/PR 6 made the hot path algorithmically minimal -- transform and rotation
-counts equal their closed forms exactly -- so the remaining wall clock lives
-in raw kernel throughput: the Harvey/Shoup butterflies of
-:mod:`repro.he.ntt` are vectorized numpy but execute one ufunc pass per
-butterfly stage, and the limb-major ``(L, B, N)`` RNS layout of
-:mod:`repro.he.rns` is an embarrassingly parallel axis nothing exploits.
-This module is the drop-in kernel substitution layer (SEAL's HEXL pattern):
-a :class:`KernelTier` interface over the batch forward/inverse NTT, the
+The transform and rotation counts of the hot path equal their closed forms,
+so the remaining wall clock is raw kernel throughput.  This module is the
+drop-in kernel substitution layer (SEAL's HEXL pattern): a
+:class:`KernelTier` interface over the batch forward/inverse NTT, the
 pointwise product and the fused multiply-accumulate, with three
-implementations selected at runtime and each proven bit-identical to
-``reference`` by the property-test harness:
+implementations selected at runtime, each proven bit-identical to
+``reference`` by the property tests:
 
 ``reference``
-    The existing numpy kernels, behavior-identical by construction (it *is*
-    the numpy code path in :class:`~repro.he.ntt.NTTContext`).
+    The numpy kernels of :class:`~repro.he.ntt.NTTContext`.
 ``compiled``
     A small C kernel (the same lazy-reduction Shoup butterflies, one
     polynomial per inner loop instead of one ufunc pass per stage) compiled
-    on first use with the system C compiler and loaded through ``ctypes`` --
-    no third-party dependency.  Unavailable environments (no compiler) skip
-    it cleanly.
+    on first use with the system C compiler and loaded through ``ctypes``.
+    Environments without a compiler skip it cleanly.
 ``multicore``
     The compiled kernels chunked over limbs x batch on a shared thread
-    pool.  ``ctypes`` releases the GIL for the duration of each C call, so
-    the chunks genuinely run in parallel; on a single-core host this
-    measures within noise of ``compiled`` and the self-calibration picks
-    accordingly.
+    pool (``ctypes`` releases the GIL for each C call).
 
-Bit-identity argument: every tier consumes the *same* precomputed Shoup
-twiddle tables and performs the same sequence of exact modular operations;
-the lazy interval bookkeeping ([0, 4q) with one conditional subtraction per
-stage) only changes *when* reductions happen, and the single final ``% q``
-makes the output canonical.  The parametrized tier tests assert equality
-against ``reference`` for every available tier across all project moduli.
+Every tier consumes the same Shoup twiddle tables and performs the same
+exact modular operations; the lazy interval bookkeeping ([0, 4q), one
+conditional subtraction per stage) only changes *when* reductions happen,
+and the single final ``% q`` makes the output canonical.
 
 Selection: explicit argument > :func:`tier_scope` > :func:`set_kernel_tier`
-> the ``REPRO_KERNEL_TIER`` environment variable > ``auto``.  ``auto``
-self-calibrates once per process: each available tier is timed on a small
-stacked transform and the fastest wins; the measured per-kernel costs are
-exposed through :func:`calibration_snapshot` for serving stats and bench
-metadata.
+> the ``REPRO_KERNEL_TIER`` environment variable > ``auto``, which times
+each available tier once per process on a small stacked transform and
+picks the fastest (costs in :func:`calibration_snapshot`).
 """
 
 from __future__ import annotations
@@ -48,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -74,8 +62,11 @@ __all__ = [
     "kernel_fallback",
 ]
 
-#: Shoup shift shared with :mod:`repro.he.ntt` (tables are built there).
-_SHOUP_SHIFT = 32
+#: Exclusive bound on ``q_max * L1(weights)`` for an exact float64
+#: :meth:`KernelTier.fused_accumulate` (every integer below ``2**53`` is a
+#: double).  Columns per float64 chunk of that product.
+FUSED_EXACT_BOUND = 1 << 53
+_FUSED_CHUNK_COLUMNS = 8192
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -234,13 +225,9 @@ def _compile_library() -> ctypes.CDLL | None:
             src_path = os.path.join(build, "kernels.c")
             with open(src_path, "w") as handle:
                 handle.write(_C_SOURCE)
-            compiler = None
-            for candidate in ("cc", "gcc", "clang"):
-                from shutil import which
-
-                if which(candidate):
-                    compiler = candidate
-                    break
+            compiler = next(
+                (c for c in ("cc", "gcc", "clang") if shutil.which(c)), None
+            )
             if compiler is None:
                 _lib_error = "no C compiler (cc/gcc/clang) on PATH"
                 return None
@@ -289,11 +276,8 @@ def _compiled_lib() -> ctypes.CDLL | None:
 class _PackedTables:
     """The NTT context's Shoup tables, contiguous and concatenated for C.
 
-    The numpy reference keeps one ``(twiddle, shoup)`` pair per butterfly
-    stage; the C kernels index one flat table per direction with a
-    running stage offset, so the per-stage arrays are concatenated once per
-    context (``n - 1`` entries total) and every array is made C-contiguous
-    (``forward_batch`` outputs, in particular, carry non-trivial strides).
+    The C kernels index one flat ``n - 1`` entry table per direction with a
+    running stage offset instead of one ``(twiddle, shoup)`` pair per stage.
     """
 
     __slots__ = (
@@ -341,7 +325,7 @@ class KernelTier:
     """One implementation of the batch NTT / pointwise / fused kernels.
 
     ``fused`` gates the fused multiply-accumulate paths on the backends
-    (tensordot accumulation instead of per-term intermediates); it is off
+    (one BLAS contraction instead of per-term intermediates); it is off
     for ``reference`` so that tier's behaviour -- including the exact
     sequence of numpy operations -- matches the historical code path.
     """
@@ -383,18 +367,21 @@ class KernelTier:
     ) -> np.ndarray:
         """``sum_k weights[k, j] * stacked[k]`` mod ``moduli``, all ``j`` at once.
 
-        ``weights`` is ``(C, O)`` centered int64, ``stacked`` ``(C, ...)``;
-        the contraction runs over the shared leading axis in one tensordot
-        instead of ``C`` scaled copies and ``C - 1`` additions, and the
-        single final reduction is bit-identical to reducing after every
-        step (callers guard the int64 overflow bound).
+        ``weights`` is ``(C, O)`` centered int64, ``stacked`` ``(C, ...)``
+        canonical residues.  One float64 BLAS product per column chunk of the
+        flattened trailing axis (chunks keep the float copy small): while
+        ``max(moduli) * max_j sum_k |weights[k, j]| < FUSED_EXACT_BOUND``
+        (callers guard it) every product and partial sum is an integer below
+        ``2**53``, so the result is exact in any summation order.
         """
-        return np.tensordot(weights, stacked, axes=(0, 0)) % moduli
-
-
-class _ReferenceTier(KernelTier):
-    name = "reference"
-    fused = False
+        flat = stacked.reshape(stacked.shape[0], -1)
+        lhs = weights.T.astype(np.float64)
+        out = np.empty((lhs.shape[0], flat.shape[1]), dtype=np.int64)
+        for start in range(0, flat.shape[1], _FUSED_CHUNK_COLUMNS):
+            cols = slice(start, start + _FUSED_CHUNK_COLUMNS)
+            out[:, cols] = lhs @ flat[:, cols].astype(np.float64)
+        out = out.reshape((lhs.shape[0],) + stacked.shape[1:])
+        return np.remainder(out, moduli, out=out)
 
 
 class _CompiledTier(KernelTier):
@@ -547,7 +534,7 @@ class _MulticoreTier(_CompiledTier):
 # -- registry + selection ----------------------------------------------------
 
 _TIERS: dict[str, KernelTier] = {
-    "reference": _ReferenceTier(),
+    "reference": KernelTier(),
     "compiled": _CompiledTier(),
     "multicore": _MulticoreTier(),
 }

@@ -262,7 +262,8 @@ class NTTContext:
         """A twiddle table as uint64 plus its precomputed Shoup companions."""
         q = self.modulus
         values = np.asarray(table, dtype=np.uint64)
-        shoup = ((values.astype(object) << 32) // q).astype(np.uint64)
+        # values < q < 2**30, so the shifted numerator fits uint64 exactly.
+        shoup = (values << _SHOUP_SHIFT) // np.uint64(q)
         return values, shoup
 
     def _twiddle_stages(self, root: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -7,25 +7,17 @@ bound, this module follows SEAL's double-CRT design: a wide ciphertext
 modulus ``Q = q_0 * q_1 * ... * q_{L-1}`` is represented by its residues in
 ``L`` independent ≤30-bit NTT-friendly prime limbs.  Every ring operation --
 NTT, pointwise EVAL product, rotation, addition -- runs limb-wise on int64
-arrays (each limb inside the proven bounds), and the only place the big
-integer ``Q`` ever materialises is the CRT composition at the decrypt
-boundary.
+arrays (each limb inside the proven bounds).  The big integer ``Q`` never
+appears on the per-request path: encode and decrypt use per-limb constants
+(:class:`~repro.he.bfv.BFVContext`), and the exact CRT map below is the
+test oracle they are checked against.
 
-Two classes:
-
-:class:`RNSBasis`
-    The primes, their product ``Q``, and the CRT bijection
-    ``Z_Q  <->  Z_{q_0} x ... x Z_{q_{L-1}}`` (``decompose`` / ``compose``).
-:class:`RNSPolynomialRing`
-    ``L`` per-limb :class:`~repro.he.polyring.PolynomialRing` instances (each
-    sharing the cached NTT context for its ``(N, q_i)``) behind a limb-major
-    API: polynomials are ``(L, N)`` int64 arrays, batches ``(L, B, N)``.
-    Sampling is RNG-stream compatible with the single-modulus ring -- small
-    polynomials (ternary secrets, errors) are drawn *once* centered and then
-    reduced into every limb, and uniform elements draw one per-limb stream
-    in limb order -- so a one-limb basis consumes the generator identically
-    to the historical :class:`~repro.he.polyring.PolynomialRing` and
-    reproduces its ciphertexts bit for bit.
+:class:`RNSBasis` holds the primes, their product ``Q`` and the CRT
+bijection ``Z_Q <-> Z_{q_0} x ... x Z_{q_{L-1}}``;
+:class:`RNSPolynomialRing` runs ``L`` per-limb rings behind a limb-major
+``(L, N)`` / ``(L, B, N)`` int64 API whose samplers consume the generator
+exactly like the single-modulus :class:`~repro.he.polyring.PolynomialRing`
+when ``L = 1``, reproducing its ciphertexts bit for bit.
 """
 
 from __future__ import annotations
@@ -96,15 +88,13 @@ class RNSBasis:
         """CRT-recombine a limb-major ``(L, ...)`` residue array mod ``Q``.
 
         Returns an object array of Python ints in ``[0, Q)`` -- exact for any
-        number of limbs.  One-limb bases short-circuit (the identity map).
+        number of limbs.  The big-int oracle of the int64 decrypt.
         """
         limbs = np.asarray(limbs)
         if limbs.shape[0] != self.limb_count:
             raise ParameterError(
                 f"expected {self.limb_count} limbs, got shape {limbs.shape}"
             )
-        if self.limb_count == 1:
-            return limbs[0].astype(object)
         acc = np.zeros(limbs.shape[1:], dtype=object)
         for residues, coefficient in zip(limbs, self._garner, strict=True):
             acc += residues.astype(object) * coefficient
@@ -297,8 +287,3 @@ class RNSPolynomialRing:
         result[..., :steps] = -a[..., n - steps:]
         result[..., steps:] = a[..., : n - steps]
         return np.mod(sign * result, moduli)
-
-    # -- CRT boundary ------------------------------------------------------
-    def compose(self, limbs: np.ndarray) -> np.ndarray:
-        """CRT-recombine limb residues into ints mod ``Q`` (object array)."""
-        return self.basis.compose(limbs)

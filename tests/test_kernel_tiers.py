@@ -13,13 +13,17 @@ selection chain (explicit > ``tier_scope`` > ``set_kernel_tier`` >
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.he import (
+    BFVParameters,
     ExactBFVBackend,
     SimulatedHEBackend,
+    find_rns_primes,
     get_ntt_context,
     paper_parameters,
     rns_serving_parameters,
@@ -123,17 +127,78 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("tier", NON_REFERENCE)
     def test_fused_accumulate_matches_loop(self, tier):
-        """tensordot-fused combine == scale-then-add loop, bit for bit."""
+        """float64-BLAS fused combine == scale-then-add loop, bit for bit,
+        up to worst-case magnitudes at ``q_max * L1 = 2**53 - 1``."""
         rng = np.random.default_rng(13)
         q = np.asarray([536813569, 536690689], dtype=np.int64)[:, None]
         stacked = rng.integers(0, q.max(), size=(6, 2, 2, 64), dtype=np.int64) % q
         weights = rng.integers(-120, 121, size=(6, 3), dtype=np.int64)
-        fused = kernels._TIERS[tier].fused_accumulate(weights, stacked, q)
-        for j in range(weights.shape[1]):
-            acc = np.zeros_like(stacked[0])
-            for k in range(weights.shape[0]):
-                acc = (acc + stacked[k] * weights[k, j]) % q
-            assert np.array_equal(fused[j] % q, acc), (tier, j)
+        # 2**53 - 1 = 6361 * 69431 * 20394401: the largest modulus times the
+        # largest column L1 lands exactly one below the float64 bound.
+        q_edge = np.asarray([20394401, 6361], dtype=np.int64)[:, None]
+        l1 = 6361 * 69431
+        assert int(q_edge.max()) * l1 == kernels.FUSED_EXACT_BOUND - 1
+        split = [l1 // 6] * 5 + [l1 - 5 * (l1 // 6)]
+        edge_weights = np.array(
+            [split, [-w for w in split], [w if k % 2 else -w for k, w in enumerate(split)]],
+            dtype=np.int64,
+        ).T
+        top = np.broadcast_to(q_edge - 1, (6, 2, 2, 64)).copy()  # every residue q - 1
+        for w, st_, mod in (
+            (weights, stacked, q),
+            (edge_weights, top, q_edge),
+            (edge_weights, rng.integers(0, 20394401, size=(6, 2, 2, 64)) % q_edge, q_edge),
+        ):
+            fused = kernels._TIERS[tier].fused_accumulate(w, st_, mod)
+            for j in range(w.shape[1]):
+                acc = np.zeros_like(st_[0])
+                for k in range(w.shape[0]):
+                    acc = (acc + st_[k] * w[k, j]) % mod
+                assert np.array_equal(fused[j], acc), (tier, j)
+
+    @pytest.mark.parametrize("tier", NON_REFERENCE)
+    def test_linear_combine_falls_back_above_float_bound(self, tier, monkeypatch):
+        """Just below ``2**53`` the fused BLAS product runs; just above it the
+        backend takes the reference loop.  Both are bit-identical to the
+        ``reference`` tier: residues, noise bounds and decryptions."""
+        primes = find_rns_primes(30, 64, 3)
+        params = BFVParameters(
+            ring_degree=64,
+            ciphertext_modulus=math.prod(primes),
+            ciphertext_moduli=primes,
+            plaintext_modulus=1 << 31,
+            error_stddev=1.0,
+            security_bits=0,
+        )
+        below = kernels.FUSED_EXACT_BOUND // max(primes)  # q_max * below < 2**53
+        rng = np.random.default_rng(17)
+        values = [rng.integers(0, 1000, size=16) for _ in range(3)]
+        fused_calls = []
+        original = kernels._TIERS[tier].fused_accumulate
+
+        def spy(*args):
+            fused_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels._TIERS[tier], "fused_accumulate", spy)
+
+        def combine(active, weights):
+            with kernels.tier_scope(active):
+                backend = ExactBFVBackend(params, seed=4)
+                (out,) = backend.linear_combine_batch(backend.encrypt_batch(values), weights)
+                return out.ciphertext, backend.decrypt(out)
+
+        for l1, fused in ((below, True), (below + 1, False)):
+            weights = np.array([[l1 - 2], [1], [1]], dtype=np.int64)
+            fused_calls.clear()
+            got, plain = combine(tier, weights)
+            assert bool(fused_calls) is fused, l1
+            want, want_plain = combine("reference", weights)
+            assert np.array_equal(got.c0, want.c0) and np.array_equal(got.c1, want.c1)
+            assert got.noise_bound == want.noise_bound
+            expected = sum(v * int(w) for v, w in zip(values, weights[:, 0], strict=True))
+            assert np.array_equal(plain, expected % params.plaintext_modulus)
+            assert np.array_equal(plain, want_plain)
 
 
 class TestEndToEndServing:

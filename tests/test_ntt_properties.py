@@ -25,6 +25,7 @@ from repro.he import (
     batch_ntt,
     clear_ntt_cache,
     find_ntt_prime,
+    find_rns_primes,
     get_ntt_context,
     paper_parameters,
     primitive_root,
@@ -342,3 +343,18 @@ class TestBackendBatchEquivalence:
         exact = ExactBFVBackend(toy_parameters(64), seed=1)
         exact.encrypt_batch([np.arange(4)] * 7)
         assert exact.tracker.count("encrypt") == 7
+
+
+def test_uint64_shoup_companions_match_bigint_formula():
+    """The uint64 Shoup companions equal ``(w << 32) // q`` in Python ints
+    for every table of every limb of the six-limb N = 4096 basis."""
+    for q in find_rns_primes(30, 4096, 6):
+        ctx = NTTContext(4096, q)
+        tables = [
+            ctx._psi_twist, ctx._psi_inv_scaled,
+            *ctx._omega_stages, *ctx._omega_inv_stages,
+        ]
+        for values, shoup in tables:
+            expected = np.array([(int(v) << 32) // q for v in values], dtype=np.uint64)
+            assert shoup.dtype == np.uint64
+            assert np.array_equal(shoup, expected), q

@@ -12,7 +12,12 @@ The RNS refactor has three claims worth independent evidence:
    end to end on the exact backend with tracker-measured transform counts
    exactly equal to the limb-scaled closed forms.
 
-Also regression tests for the two latent-overflow guards this PR adds:
+Encode and decrypt are int64/float64-native (per-limb scaling constants and
+the Halevi-Polyakov-Shoup scale-and-round); the big-int CRT map is their
+oracle here, property-tested across plaintext moduli and limb counts, with
+crafted residues at the decrypt rounding edge.
+
+Also regression tests for two latent-overflow guards:
 ``BFVParameters`` rejecting non-NTT-friendly / over-wide moduli at
 construction (pre-fix, the 61-bit Mersenne protocol modulus was accepted
 and simply wrapped int64 on any exact-backend path), and
@@ -21,16 +26,20 @@ and simply wrapped int64 on any exact-backend path), and
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.he import (
+    BFVContext,
     BFVParameters,
+    Ciphertext,
     ExactBFVBackend,
     RNSBasis,
     RNSPolynomialRing,
@@ -41,6 +50,7 @@ from repro.he import (
     rns_serving_parameters,
     serving_parameters,
 )
+from repro.he.bfv import DECRYPT_MARGIN_BITS, MAX_LIMBS, hps_fraction_error
 from repro.he.ntt import Domain
 from repro.he.polyring import PolynomialRing
 from repro.runtime import ServingRuntime
@@ -403,3 +413,167 @@ class TestTwoLimbEndToEnd:
         base = bsgs_transform_count(16, 16, 4, 256)
         assert bsgs_transform_count(16, 16, 4, 256, limbs=2) == 2 * base
         assert bsgs_transform_count(16, 16, 4, 256, limbs=6) == 6 * base
+
+
+#: (t, L) pairs for the native encode/decrypt properties; t must stay below
+#: Q, which drops t = 2**31 over one 30-bit limb.
+NATIVE_CASES = [
+    (t, limbs)
+    for t in (1 << 8, 1 << 15, 1 << 31)
+    for limbs in (1, 2, 6)
+    if t < math.prod(find_rns_primes(30, 64, limbs))
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _native_context(t: int, limbs: int) -> BFVContext:
+    primes = find_rns_primes(30, 64, limbs)
+    params = BFVParameters(
+        ring_degree=64,
+        ciphertext_modulus=math.prod(primes),
+        ciphertext_moduli=primes,
+        plaintext_modulus=t,
+        error_stddev=1.0,
+        security_bits=0,
+    )
+    return BFVContext(params, seed=limbs)
+
+
+def _oracle_round(basis: RNSBasis, raw: np.ndarray, t: int) -> list[int]:
+    """``round(t * centered / Q) mod t`` through the big-int CRT composition."""
+    big_q = basis.product
+    out = []
+    for v in basis.compose(raw):
+        centered = int(v) - big_q if v > big_q // 2 else int(v)
+        out.append((2 * centered * t + big_q) // (2 * big_q) % t)
+    return out
+
+
+def _edge_residues(basis: RNSBasis, t: int, m: int, delta: Fraction, side: int):
+    """Residues of the integer ``x`` nearest to ``t x / Q = m + side (1/2 - delta)``.
+
+    ``side = +1`` sits just below the boundary between ``m`` and ``m + 1``,
+    ``side = -1`` just above the one between ``m - 1`` and ``m``.  Returns
+    the residues and ``x``'s exact noise ``x - m Q / t``.
+    """
+    big_q = basis.product
+    x = round((m + side * (Fraction(1, 2) - delta)) * big_q / t)
+    raw = basis.decompose(np.array([x % big_q], dtype=object))
+    return raw, x - Fraction(m * big_q, t)
+
+
+class TestNativeEncodeDecrypt:
+    """The per-request path never builds a big integer, and equals the one
+    that does: encode against ``(m Q + t // 2) // t`` decomposed, decrypt
+    against CRT composition and exact rounding."""
+
+    @pytest.mark.parametrize("t,limbs", NATIVE_CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_int64_encode_matches_bigint_oracle(self, t, limbs, data):
+        context = _native_context(t, limbs)
+        big_q = context.ring.modulus
+        values = data.draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=16))
+        oracle = context.ring.basis.decompose(
+            np.array([(v * big_q + t // 2) // t for v in values], dtype=object)
+        )
+        plain = np.array(values, dtype=np.int64)
+        assert np.array_equal(context._scale_plaintext(plain), oracle)
+        assert np.array_equal(context._scale_plaintext(plain[None, :]), oracle[:, None, :])
+
+    @pytest.mark.parametrize("t,limbs", NATIVE_CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_scale_and_round_matches_compose_oracle(self, t, limbs, data):
+        """Any residue whose noise keeps its budget above the margin rounds
+        exactly -- hypothesis drives the noise to both extremes."""
+        context = _native_context(t, limbs)
+        basis = context.ring.basis
+        big_q = basis.product
+        # Budget b leaves noise Q/(2t) 2**-b; at the margin that is
+        # Q/(2t) (1 - 2 error).  One less absorbs the encode rounding.
+        limit = math.floor(
+            Fraction(big_q, 2 * t) * (1 - 2 * Fraction(hps_fraction_error(MAX_LIMBS)))
+        ) - 1
+        count = data.draw(st.integers(1, 12))
+        values = data.draw(st.lists(st.integers(0, t - 1), min_size=count, max_size=count))
+        noise = data.draw(st.lists(st.integers(-limit, limit), min_size=count, max_size=count))
+        x = [((v * big_q + t // 2) // t + e) % big_q for v, e in zip(values, noise, strict=True)]
+        raw = basis.decompose(np.array(x, dtype=object))
+        got = context._scale_and_round(raw)
+        assert got.dtype == np.int64
+        assert got.tolist() == _oracle_round(basis, raw, t) == values
+
+    @pytest.mark.parametrize("t,limbs", NATIVE_CASES)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31), scalar=st.integers(-40, 40))
+    def test_decrypt_matches_bigint_reference(self, t, limbs, seed, scalar):
+        context = _native_context(t, limbs)
+        rng = np.random.default_rng(seed)
+        ct = context.encrypt(rng.integers(0, t, size=48))
+        ct = context.add_plain(ct, rng.integers(0, t, size=48))
+        ct = context.rotate(context.multiply_scalar(ct, scalar), 3)
+        assert np.array_equal(
+            context.decrypt(ct, count=64), _bigint_reference_decrypt(context, ct)
+        )
+
+    def test_fraction_error_bound_is_the_documented_size(self):
+        assert 2.0**-18 < hps_fraction_error(6) < 2.0**-17
+        assert hps_fraction_error(1) < hps_fraction_error(6) < hps_fraction_error(MAX_LIMBS)
+        assert 0 < DECRYPT_MARGIN_BITS < 1e-3
+
+    @pytest.mark.parametrize("t", [1 << 8, 1 << 31])
+    def test_rounding_exact_just_outside_the_float_error(self, t):
+        """Crafted residues whose ``frac(t x / Q)`` lies twice the float
+        error from 1/2 round exactly, on both sides of both neighbours."""
+        context = _native_context(t, 6)
+        basis = context.ring.basis
+        delta = 2 * Fraction(hps_fraction_error(6))
+        for m in (0, 1, t // 2, t - 1):
+            for side in (1, -1):
+                raw, _ = _edge_residues(basis, t, m, delta, side)
+                assert context._scale_and_round(raw).tolist() == [m]
+                assert _oracle_round(basis, raw, t) == [m]
+
+    @pytest.mark.parametrize("limbs", [1, 6])
+    def test_decrypt_refuses_inside_margin_and_is_exact_outside(self, limbs):
+        """A ciphertext whose budget is at or below the margin is refused;
+        just above it, it decrypts to the exact value."""
+        t = 1 << 8
+        context = _native_context(t, limbs)
+        basis = context.ring.basis
+        error = Fraction(hps_fraction_error(MAX_LIMBS))
+        zeros = np.zeros((limbs, 64), dtype=np.int64)
+        for m, side in ((5, 1), (200, -1)):
+            for delta, refused in ((error / 2, True), (2 * error, False)):
+                raw, noise = _edge_residues(basis, t, m, delta, side)
+                c0 = zeros.copy()
+                c0[:, 0] = raw[:, 0]
+                ct = Ciphertext(
+                    c0=c0, c1=zeros.copy(), noise_bound=float(abs(noise)),
+                    slots_used=1, domain=Domain.COEFF,
+                )
+                budget = context.noise_budget(ct)
+                assert (budget <= DECRYPT_MARGIN_BITS) is refused, (m, side, budget)
+                if refused:
+                    with pytest.raises(NoiseBudgetExhausted):
+                        context.decrypt(ct)
+                else:
+                    assert context.decrypt(ct).tolist() == [m]
+
+    @pytest.mark.parametrize(
+        "t,limbs", [((1 << 31) + 1, 3), (1 << 8, MAX_LIMBS + 1)], ids=["t", "limbs"]
+    )
+    def test_unsupported_plaintext_modulus_or_limb_count_rejected(self, t, limbs):
+        """Past either bound the int64 encode or the float margin is unproven."""
+        primes = find_rns_primes(30, 64, limbs)
+        params = BFVParameters(
+            ring_degree=64,
+            ciphertext_modulus=math.prod(primes),
+            ciphertext_moduli=primes,
+            plaintext_modulus=t,
+            error_stddev=1.0,
+            security_bits=0,
+        )
+        with pytest.raises(ParameterError, match="exact backend needs"):
+            BFVContext(params)
