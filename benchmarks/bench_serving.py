@@ -35,7 +35,7 @@ The comparisons mirror the levels the serving runtime batches at:
    two-limb coefficient modulus (illegal under the old 30-bit single-
    modulus ceiling) against the one-limb configuration -- exact results on
    both, tracker-measured NTT transforms equal to the limb-scaled closed
-   form ``(3 * input_cts + output_cts) * L`` with zero gap, rotations
+   form ``(input_cts + output_cts) * L`` with zero gap, rotations
    limb-independent.
 
 7. **Kernel tier**: the compiled/multicore HE kernel tier
@@ -454,7 +454,7 @@ def test_rns_limb_arithmetic():
     pre-RNS representation could not express at all (its int64 pointwise
     products wrap past 30-bit moduli).  Results must be exact on both, the
     two-limb tracker-measured transform count must equal the limb-scaled
-    closed form ``(3 * input_cts + output_cts) * L`` with zero gap, and
+    closed form ``(input_cts + output_cts) * L`` with zero gap, and
     rotations must stay limb-independent.
     """
     matrices, weights = _make_workload(seed=21)
@@ -480,11 +480,11 @@ def test_rns_limb_arithmetic():
     one_transforms, one_rotations, one_seconds = serve(one_limb)
     two_transforms, two_rotations, two_seconds = serve(two_limb)
 
-    # Closed form: one EVAL-native encryption (3 forwards) per input
-    # ciphertext, one inverse per output ciphertext at the decrypt
+    # Closed form: one EVAL-native secret-key encryption (1 forward) per
+    # input ciphertext, one inverse per output ciphertext at the decrypt
     # boundary, everything scaled by the limb count.
     input_cts, output_cts = FEATURES, OUTPUTS
-    closed = (3 * input_cts + output_cts) * two_limb.limb_count
+    closed = (input_cts + output_cts) * two_limb.limb_count
     gap = two_transforms - closed
 
     print(f"\nRNS limb arithmetic (shared-slot linear, batch={BATCH})\n")
@@ -525,7 +525,7 @@ def test_kernel_tier():
     under every available kernel tier.  Every tier must return logits
     bit-identical to the ``reference`` numpy path with the tracker-measured
     transform count still equal to the limb-scaled closed form
-    ``(3 * input_cts + output_cts) * L`` (gap zero) and rotation counts
+    ``(input_cts + output_cts) * L`` (gap zero) and rotation counts
     unchanged; the self-calibrated fastest tier must clear a 2x wall-clock
     speedup.  Skipped entirely when no compiled tier is available (the
     committed numbers then stand).
@@ -565,7 +565,7 @@ def test_kernel_tier():
     runs = {tier: serve(tier) for tier in tiers}
     ref_results, ref_seconds, ref_transforms, ref_rotations = runs["reference"]
 
-    closed = (3 * FEATURES + OUTPUTS) * params.limb_count
+    closed = (FEATURES + OUTPUTS) * params.limb_count
     bit_identical = all(
         np.array_equal(a, b)
         for tier in tiers

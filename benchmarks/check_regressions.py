@@ -56,7 +56,7 @@ EXACT: dict[str, float] = {
     "plan_store_warm_start.warm_offline_he_operations": 0,
     "ntt_domain_residency.closed_form_gap": 0,
     # Double-CRT serving: the two-limb transform count must equal the
-    # limb-scaled closed form (3*input_cts + output_cts) * L exactly -- any
+    # limb-scaled closed form (input_cts + output_cts) * L exactly -- any
     # gap is a limb-scaling bug in a charge site or a redundant transform.
     "rns_limb_arithmetic.closed_form_gap": 0,
     # Every kernel tier must serve logits bit-identical to the reference

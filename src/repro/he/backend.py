@@ -66,6 +66,11 @@ class HEBackend(abc.ABC):
         return self.params.ciphertext_bytes
 
     @property
+    def seeded_ciphertext_bytes(self) -> int:
+        """Wire size of one fresh encryption: ``c0`` and ``c1``'s seed."""
+        return self.params.seeded_ciphertext_bytes
+
+    @property
     def supports_slotwise_plain(self) -> bool:
         """Whether :meth:`mul_plain` accepts arbitrary (non-constant) vectors.
 

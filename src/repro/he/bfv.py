@@ -6,7 +6,9 @@ operations and rotations are used and ciphertext-ciphertext multiplications
 are not required"*):
 
 * key generation (ternary secret, RLWE public key),
-* encryption / decryption with invariant-noise tracking,
+* secret-key encryption with a seeded ``c1`` for the key holder (SEAL's
+  ``Encryptor::encrypt_symmetric``), public-key encryption of zero for the
+  server, and decryption with invariant-noise tracking,
 * ciphertext + ciphertext and ciphertext + plaintext addition / subtraction,
 * ciphertext x plaintext polynomial and ciphertext x scalar multiplication,
 * monomial rotations (multiplication by ``X**k``), which shift
@@ -19,6 +21,13 @@ the packing/rotation experiments that need slot semantics run on the
 functional backend in :mod:`repro.he.simulated`, which counts the same
 operations the real SEAL deployment would execute.
 
+Every fresh ciphertext of the protocols is made by the key holder (the
+client's inputs and masks), so encryption is symmetric: ``c1 = a`` is
+expanded from a fresh public seed (:func:`expand_seed`) directly in NTT
+form, and ``c0 = NTT(Delta m + e) - a s``.  That is one forward transform
+per limb and one error sample per ciphertext, and ``c1`` crosses the wire
+as its :data:`~repro.he.params.SEED_BYTES`-byte seed.
+
 Evaluation-domain residency: ciphertexts carry an explicit
 :class:`~repro.he.ntt.Domain` and are encrypted straight into NTT (EVAL)
 form by default, so the linear hot path -- plaintext products, additions,
@@ -26,9 +35,9 @@ rotations -- runs pointwise without a single transform and the only inverse
 NTT is the one at the decrypt boundary.  Every forward/inverse transform is
 recorded on the tracker (``ntt_forward`` / ``ntt_inverse``, one count per
 *limb polynomial*), which makes redundant round trips provable bugs rather
-than silent slowdowns.  Setting ``default_domain=Domain.COEFF`` restores the
-historical coefficient-resident behaviour bit-exactly (the NTT is a linear
-bijection, so decrypted residues never depend on residency).
+than silent slowdowns.  Setting ``default_domain=Domain.COEFF`` keeps
+ciphertexts coefficient-resident (the NTT is a linear bijection, so
+decrypted residues never depend on residency).
 
 Double-CRT (RNS) ciphertexts: components are limb-major ``(L, N)`` arrays
 over an :class:`~repro.he.rns.RNSBasis` of NTT-friendly ≤30-bit primes, so
@@ -38,26 +47,27 @@ pointwise-product invariants while the composite modulus ``Q`` grows to the
 int64/float64, the encode scaling and the decrypt rounding included (per-limb
 constants precomputed from ``Q`` once per context; no big integer on the
 per-request path).  Every transform closed form gains a factor ``L`` -- one
-NTT per limb polynomial -- and a one-limb basis reproduces the historical
-single-modulus scheme bit for bit (same randomness stream, same residues,
-same transform counts).
+NTT per limb polynomial -- and a one-limb basis is the single-modulus
+scheme.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import NoiseBudgetExhausted, ParameterError
+from .kernels import pin_blas_threads
 from .keys import PublicKey, SecretKey
 from .ntt import Domain
-from .params import BFVParameters
+from .params import SEED_BYTES, BFVParameters
 from .rns import RNSBasis, RNSPolynomialRing
 from .tracker import OperationTracker
 
-__all__ = ["Ciphertext", "EvalPlain", "BFVContext", "DECRYPT_MARGIN_BITS"]
+__all__ = ["Ciphertext", "EvalPlain", "BFVContext", "DECRYPT_MARGIN_BITS", "expand_seed"]
 
 #: Largest ``t`` / limb count the int64 encode and float64 decrypt are exact for.
 MAX_PLAINTEXT_MODULUS = 1 << 31
@@ -74,6 +84,39 @@ def hps_fraction_error(limbs: int) -> float:
     """
     gamma = limbs * 2.0**-53 / (1 - limbs * 2.0**-53)
     return limbs * 2.0**30 * (2.0**-54 + gamma)
+
+
+#: Words read past the expected count, so a limb rarely needs a second read.
+EXPAND_SLACK_WORDS = 8
+
+
+def expand_seed(seed: bytes, params: BFVParameters) -> np.ndarray:
+    """The uniform EVAL-form polynomial ``a`` a public seed stands for, ``(L, N)``.
+
+    Limb ``i`` reads the little-endian 32-bit words of
+    SHAKE-256(``seed || bytes([i])``), masks each to ``q_i.bit_length()``
+    bits and keeps the words below ``q_i``; the first ``N`` kept words are
+    ``a``'s NTT coefficients mod ``q_i``.  Rejection makes every kept word
+    exactly uniform mod ``q_i``, and a uniform polynomial is uniform in
+    either domain, so ``a`` is drawn in EVAL form with no transform.  Each
+    read asks for the words expected to fill what is still missing,
+    ``missing 2**b / q_i``, plus :data:`EXPAND_SLACK_WORDS`; a limb that
+    still comes up short reads on (the XOF output is prefix-stable, so the
+    words already kept do not change).  A receiver holding only the seed and
+    the parameters re-expands ``c1`` bit for bit.
+    """
+    n = params.ring_degree
+    a = np.empty((params.limb_count, n), dtype=np.int64)
+    for limb, q in enumerate(params.ciphertext_moduli):
+        xof = hashlib.shake_256(seed + bytes([limb]))
+        span = 1 << q.bit_length()
+        read, kept = 0, np.empty(0, dtype=np.uint32)
+        while kept.size < n:
+            read += (n - kept.size) * span // q + EXPAND_SLACK_WORDS
+            words = np.frombuffer(xof.digest(4 * read), dtype="<u4") & (span - 1)
+            kept = words[words < q]
+        a[limb] = kept[:n]
+    return a
 
 
 #: Noise-budget bits below which decryption is refused.  A ciphertext with
@@ -104,6 +147,10 @@ class Ciphertext:
     counterpart in either domain and the decrypted residues are
     bit-identical; only the number of forward/inverse transforms paid along
     the way differs.
+
+    ``seed`` is set on fresh secret-key encryptions only: ``c1`` is
+    :func:`expand_seed` of it (or that polynomial's inverse NTT, when
+    COEFF-resident), so it is what crosses the wire in ``c1``'s place.
     """
 
     c0: np.ndarray
@@ -111,11 +158,12 @@ class Ciphertext:
     noise_bound: float
     slots_used: int
     domain: Domain = Domain.COEFF
+    seed: bytes | None = None
 
     def copy(self) -> Ciphertext:
         return Ciphertext(
             self.c0.copy(), self.c1.copy(), self.noise_bound, self.slots_used,
-            self.domain,
+            self.domain, self.seed,
         )
 
 
@@ -164,7 +212,12 @@ class BFVContext:
     #: and before/after benchmarks.
     default_domain: Domain = Domain.EVAL
     ring: RNSPolynomialRing = field(init=False, repr=False)
+    #: the private stream: keys, errors and the public-seed key.
     _rng: np.random.Generator = field(init=False, repr=False)
+    #: public seeds are SHAKE-256(_seed_key || counter): distinct per
+    #: ciphertext, and no output of the private stream is ever published.
+    _seed_key: bytes = field(init=False, repr=False)
+    _seeds_drawn: int = field(init=False, repr=False, default=0)
     _secret: SecretKey = field(init=False, repr=False)
     _public: PublicKey = field(init=False, repr=False)
     #: NTT-domain forms of the keys (limb-major), cached so every
@@ -208,10 +261,20 @@ class BFVContext:
         if self.tracker is None:
             self.tracker = OperationTracker()
         self._generate_keys()
+        self._seed_key = self._rng.bytes(SEED_BYTES)
+        # The decrypt rounding and the fused accumulate are float64 BLAS products.
+        pin_blas_threads()
 
     @property
     def limb_count(self) -> int:
         return self.ring.limb_count
+
+    @property
+    def _fresh_noise(self) -> float:
+        """Noise bound of a fresh ciphertext: ``sigma (2N + 2)``, which covers
+        public-key encryption's ``e u + e1 + e2 s`` (and so the secret-key
+        ``e`` too)."""
+        return self.params.error_stddev * (2 * self.params.ring_degree + 2)
 
     # -- key management ----------------------------------------------------
     def _generate_keys(self) -> None:
@@ -226,6 +289,11 @@ class BFVContext:
         self._p1_ntt = ring.forward(a)
         self._s_ntt = ring.forward(s)
         self.tracker.record("keygen")
+
+    def _next_seed(self) -> bytes:
+        self._seeds_drawn += 1
+        counter = self._seeds_drawn.to_bytes(8, "little")
+        return hashlib.shake_256(self._seed_key + counter).digest(SEED_BYTES)
 
     @property
     def secret_key(self) -> SecretKey:
@@ -256,8 +324,8 @@ class BFVContext:
         return np.mod(plain[:count], self.params.plaintext_modulus)
 
     # -- encryption --------------------------------------------------------
-    def _scale_plaintext(self, plain: np.ndarray) -> np.ndarray:
-        """``round(Q m / t) mod q_i`` per limb, limb-major ``(L,) + plain.shape``.
+    def _scale_plaintext(self, plain: np.ndarray, noise: np.ndarray | int = 0) -> np.ndarray:
+        """``round(Q m / t) + noise mod q_i`` per limb, limb-major ``(L,) + plain.shape``.
 
         With ``Q = floor(Q/t) t + (Q mod t)`` the rounded scaling splits
         exactly into ``floor(Q/t) m + ((Q mod t) m + t // 2) // t``, whose
@@ -265,10 +333,11 @@ class BFVContext:
         ``0 <= m < t <= 2**31`` and limbs ``q_i < 2**30`` every intermediate
         is below ``2**62``, so the whole encode is exact int64 arithmetic.
         Rounding instead of ``floor(Q/t) m`` removes the ``m (Q mod t) / Q``
-        decryption error the naive Delta-scaling introduces.
+        decryption error the naive Delta-scaling introduces.  A small signed
+        ``noise`` (an encryption error) joins the same single reduction.
         """
         t = self.params.plaintext_modulus
-        carry = (plain * (self.ring.modulus % t) + t // 2) // t
+        carry = (plain * (self.ring.modulus % t) + t // 2) // t + noise
         lead = (-1,) + (1,) * plain.ndim
         return np.mod(
             self._delta_limbs.reshape(lead) * plain + carry, self._q_col.reshape(lead)
@@ -281,63 +350,50 @@ class BFVContext:
     def encrypt_batch(
         self, values_list: list[np.ndarray], *, domain: Domain | None = None
     ) -> list[Ciphertext]:
-        """Encrypt many residue vectors with one batched NTT pass per limb.
+        """Secret-key encrypt many residue vectors, one batched NTT per limb.
 
-        The batch's randomness is sampled up front and every ``u`` goes
-        through one batched forward transform per limb.  COEFF output pulls
-        the products with the NTT-form public key back through one stacked
-        inverse; EVAL output (the :attr:`default_domain`) pushes the
-        noise/message polynomials forward instead.  Either way it costs
-        ``3 B L`` transforms, and both consume the randomness stream in the
-        same order, so the two forms are NTT images of one another.
+        Each ciphertext draws a fresh public seed, and ``c1 = a`` is its
+        :func:`expand_seed` image, already in EVAL form.  The error ``e``
+        comes from the private stream, never from the seed, and
+        ``c0 = NTT(Delta m + e) - a s``: ``B L`` forward transforms for the
+        batch.  COEFF output (``domain=Domain.COEFF``) is the inverse-NTT
+        image of the same EVAL ciphertext, ``B L`` forwards and ``2 B L``
+        inverses.
         """
         if not values_list:
             return []
         if domain is None:
             domain = self.default_domain
         batch = len(values_list)
-        n = self.params.ring_degree
         limbs = self.limb_count
         qb = self._q_batch
         ring = self.ring
         plains = np.stack(
             [self.encode(np.asarray(v, dtype=np.int64)) for v in values_list]
         )
-        scaled = self._scale_plaintext(plains)
-        u = ring.sample_ternary(self._rng, count=batch)
-        e1 = ring.sample_error(self._rng, self.params.error_stddev, count=batch)
-        e2 = ring.sample_error(self._rng, self.params.error_stddev, count=batch)
-        u_ntt = ring.forward_batch(u)
-        p0 = self._p0_ntt[:, None, :]
-        p1 = self._p1_ntt[:, None, :]
-        if domain is Domain.EVAL:
-            # NTT(c0) = NTT(u) * NTT(p0) + NTT(e1 + Delta*m), likewise c1:
-            # the additive terms go forward instead of the products coming
-            # back, and the ciphertext is born evaluation-resident.
-            additive = ring.forward_batch(
-                np.concatenate([np.mod(e1 + scaled, qb), e2], axis=1)
-            )
-            c0 = np.mod(u_ntt * p0 + additive[:, :batch], qb)
-            c1 = np.mod(u_ntt * p1 + additive[:, batch:], qb)
-            self.tracker.record_transforms(forward=3 * batch * limbs)
-        else:
-            components = ring.inverse_batch(
-                np.concatenate([u_ntt * p0 % qb, u_ntt * p1 % qb], axis=1)
-            )
-            c0 = np.mod(components[:, :batch] + e1 + scaled, qb)
-            c1 = np.mod(components[:, batch:] + e2, qb)
-            self.tracker.record_transforms(forward=batch * limbs, inverse=2 * batch * limbs)
-        # Fresh noise bound: ||e*u + e1 + e2*s|| <= stddev * (2N + 2) roughly;
-        # use a conservative analytic estimate.
-        fresh = self.params.error_stddev * (2 * n + 2)
+        e = ring.sample_noise(self._rng, self.params.error_stddev, count=batch)
+        seeds = [self._next_seed() for _ in range(batch)]
+        c1 = np.empty((limbs, batch, self.params.ring_degree), dtype=np.int64)
+        for i, seed in enumerate(seeds):
+            c1[:, i] = expand_seed(seed, self.params)
+        # Every c1 s < 2**60, so one reduction finishes c0.
+        c0 = np.mod(
+            ring.forward_batch(self._scale_plaintext(plains, e)) - c1 * self._s_ntt[:, None, :],
+            qb,
+        )
+        self.tracker.record_transforms(forward=batch * limbs)
+        if domain is Domain.COEFF:
+            both = ring.inverse_batch(np.concatenate([c0, c1], axis=1))
+            c0, c1 = both[:, :batch], both[:, batch:]
+            self.tracker.record_transforms(inverse=2 * batch * limbs)
         self.tracker.record(
-            "encrypt", count=batch, bytes_moved=batch * self.params.ciphertext_bytes
+            "encrypt", count=batch, bytes_moved=batch * self.params.seeded_ciphertext_bytes
         )
         return [
             Ciphertext(
-                c0=c0[:, i], c1=c1[:, i], noise_bound=fresh,
+                c0=c0[:, i], c1=c1[:, i], noise_bound=self._fresh_noise,
                 slots_used=int(np.asarray(values_list[i]).size),
-                domain=domain,
+                domain=domain, seed=seeds[i],
             )
             for i in range(batch)
         ]
@@ -657,5 +713,36 @@ class BFVContext:
     def zero_ciphertext(
         self, slots_used: int = 0, *, domain: Domain | None = None
     ) -> Ciphertext:
-        """A fresh encryption of the all-zero vector (used as an accumulator)."""
-        return self.encrypt(np.zeros(max(1, slots_used), dtype=np.int64), domain=domain)
+        """A public-key encryption of the all-zero vector (an accumulator).
+
+        The server, which holds no secret key, makes these, so they keep
+        RLWE public-key encryption: ``c = u (p0, p1) + (e1, e2)``, three
+        forward transforms per limb into EVAL form, or one forward and two
+        inverses into COEFF form.
+        """
+        if domain is None:
+            domain = self.default_domain
+        limbs = self.limb_count
+        q = self._q_col
+        ring = self.ring
+        u = ring.sample_ternary(self._rng)
+        e1 = ring.sample_error(self._rng, self.params.error_stddev)
+        e2 = ring.sample_error(self._rng, self.params.error_stddev)
+        u_ntt = ring.forward(u)
+        if domain is Domain.EVAL:
+            errors = ring.forward_batch(np.stack([e1, e2], axis=1))
+            c0 = np.mod(u_ntt * self._p0_ntt + errors[:, 0], q)
+            c1 = np.mod(u_ntt * self._p1_ntt + errors[:, 1], q)
+            self.tracker.record_transforms(forward=3 * limbs)
+        else:
+            products = ring.inverse_batch(
+                np.stack([u_ntt * self._p0_ntt % q, u_ntt * self._p1_ntt % q], axis=1)
+            )
+            c0 = np.mod(products[:, 0] + e1, q)
+            c1 = np.mod(products[:, 1] + e2, q)
+            self.tracker.record_transforms(forward=limbs, inverse=2 * limbs)
+        self.tracker.record("encrypt", bytes_moved=self.params.ciphertext_bytes)
+        return Ciphertext(
+            c0=c0, c1=c1, noise_bound=self._fresh_noise,
+            slots_used=max(1, slots_used), domain=domain,
+        )

@@ -33,6 +33,7 @@ picks the fastest (costs in :func:`calibration_snapshot`).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -60,6 +61,7 @@ __all__ = [
     "fastest_tier_name",
     "clear_kernel_state",
     "kernel_fallback",
+    "pin_blas_threads",
 ]
 
 #: Exclusive bound on ``q_max * L1(weights)`` for an exact float64
@@ -67,6 +69,63 @@ __all__ = [
 #: double).  Columns per float64 chunk of that product.
 FUSED_EXACT_BOUND = 1 << 53
 _FUSED_CHUNK_COLUMNS = 8192
+
+#: Thread-count setter / getter of the ``scipy-openblas`` library numpy's
+#: wheels bundle (``scipy_`` prefix, ILP64 ``64_`` suffix), then of a plain
+#: OpenBLAS.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_control() -> tuple[ctypes.CDLL, str] | str:
+    """Pin the OpenBLAS numpy loaded to one thread, once per process.
+
+    The library is found among the process's own mappings (numpy loaded it
+    at import) and its setter called through ``ctypes``.  Returns
+    ``(library, getter name)``, or why nothing was pinned.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            mapped = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return "no /proc/self/maps to find numpy's BLAS in"
+    paths = sorted({
+        fields[5].strip() for fields in mapped
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
+    })
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping whose file has since been replaced
+            continue
+        for setter, getter in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads(1)
+                return lib, getter
+    return "numpy's BLAS is not an OpenBLAS with a thread-count setter"
+
+
+def pin_blas_threads() -> tuple[int | None, str | None]:
+    """Run numpy's OpenBLAS on one thread in this process.
+
+    The float64 products of :meth:`KernelTier.fused_accumulate` and of the
+    exact backend's decrypt rounding are small and back to back; a
+    multi-threaded OpenBLAS keeps a second core spinning between them for
+    no gain.  Returns ``(threads, None)``, read back through the library's
+    getter, or ``(None, why nothing was pinned)``.
+    """
+    control = _blas_thread_control()
+    if isinstance(control, str):
+        return None, control
+    lib, getter = control
+    return getattr(lib, getter)(), None
+
 
 _C_SOURCE = r"""
 #include <stdint.h>

@@ -215,14 +215,14 @@ def bsgs_transform_count(
     products, giant-step rotations, accumulating additions -- is pointwise
     and transform-free.  What remains is the encrypt/decrypt boundary:
 
-    * three forward transforms per input ciphertext (EVAL-native
-      encryption transforms the masking polynomial and both noise/message
-      polynomials), and
+    * one forward transform per input ciphertext (secret-key encryption
+      transforms only ``Delta m + e``; ``c1`` is expanded from its seed
+      straight into EVAL form), and
     * **one** inverse per output column group -- the single transform the
       residency design allows per output ciphertext, amortised over every
       diagonal and every request stacked into the batch.
 
-    ``(c * 3 + g) * L`` total, assuming every output group's weight slice is
+    ``(c + g) * L`` total, assuming every output group's weight slice is
     non-zero (an all-zero group skips its decrypt).  ``limbs`` is the RNS
     limb count ``L`` of the ciphertext basis -- a double-CRT scheme runs one
     NTT per limb polynomial, so every term scales linearly.  The
@@ -233,7 +233,7 @@ def bsgs_transform_count(
     from .bsgs import bsgs_geometry  # local import: keep packing dependency-light
 
     geometry = bsgs_geometry(n_tokens, n_features, n_outputs, slot_count)
-    return (3 * geometry.num_ciphertexts + geometry.out_groups) * limbs
+    return (geometry.num_ciphertexts + geometry.out_groups) * limbs
 
 
 def bsgs_coeff_transform_count(
@@ -246,7 +246,8 @@ def bsgs_coeff_transform_count(
     every diagonal product pays the full round trip -- two forwards for the
     ciphertext pair, one for the plaintext mask, two inverses back (five
     per product) -- plus three transforms per input ciphertext at encrypt
-    and two per output group at decrypt (forward ``c1``, inverse the
+    (one forward, then two inverses into COEFF form) and two per output
+    group at decrypt (forward ``c1``, inverse the
     combination).  ``nonzero_masks`` is the number of diagonal products
     actually executed; it defaults to the dense count ``g * c * D`` (every
     generalized diagonal of every input ciphertext and output group).

@@ -29,6 +29,7 @@ from ..errors import ParameterError
 from .ntt import find_ntt_prime, find_rns_primes, is_prime
 
 __all__ = [
+    "SEED_BYTES",
     "BFVParameters",
     "toy_parameters",
     "test_parameters",
@@ -37,6 +38,9 @@ __all__ = [
     "paper_parameters",
 ]
 
+
+#: Bytes of the public seed a secret-key ciphertext's ``c1`` travels as.
+SEED_BYTES = 32
 
 # Homomorphic Encryption Standard (2018), classical 128-bit security:
 # maximum size of log2(q) for a given ring dimension.
@@ -180,8 +184,17 @@ class BFVParameters:
     @property
     def ciphertext_bytes(self) -> int:
         """Serialized size of a (c0, c1) ciphertext pair in bytes."""
-        bytes_per_coeff = (self.deployed_log_q + 7) // 8
-        return 2 * self.ring_degree * bytes_per_coeff
+        return 2 * self.ring_degree * self._bytes_per_coeff
+
+    @property
+    def seeded_ciphertext_bytes(self) -> int:
+        """Serialized size of a fresh secret-key ciphertext: ``c0`` plus the
+        :data:`SEED_BYTES` seed that ``c1`` expands from."""
+        return self.ring_degree * self._bytes_per_coeff + SEED_BYTES
+
+    @property
+    def _bytes_per_coeff(self) -> int:
+        return (self.deployed_log_q + 7) // 8
 
     @property
     def plaintext_bytes(self) -> int:

@@ -192,10 +192,13 @@ class RNSPolynomialRing:
         self, rng: np.random.Generator, stddev: float, count: int | None = None
     ) -> np.ndarray:
         """Small error polynomial(s) (rounded Gaussian), all limbs."""
-        noise = np.rint(rng.normal(0.0, stddev, size=self._shape(count))).astype(
-            np.int64
-        )
-        return self.from_signed(noise)
+        return self.from_signed(self.sample_noise(rng, stddev, count))
+
+    def sample_noise(
+        self, rng: np.random.Generator, stddev: float, count: int | None = None
+    ) -> np.ndarray:
+        """The signed coefficients of :meth:`sample_error`, before reduction."""
+        return np.rint(rng.normal(0.0, stddev, size=self._shape(count))).astype(np.int64)
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -130,18 +130,21 @@ class SimulatedHEBackend(HEBackend):
         return math.log2(limit) - math.log2(handle.noise_bound)
 
     # -- transform accounting ------------------------------------------------
-    def _charge_encrypt_transforms(self, count: int = 1) -> None:
-        """Transforms one encryption executes (see :meth:`BFVContext.encrypt_batch`).
+    def _charge_encrypt_transforms(self, count: int = 1, *, public: bool = False) -> None:
+        """Transforms ``count`` encryptions execute, per limb per ciphertext.
 
-        Three per limb per ciphertext either way: EVAL-native encryption
-        pushes the message/noise polynomials forward, COEFF encryption pulls
-        the public-key products back through two inverses.
+        Secret-key encryption (:meth:`BFVContext.encrypt_batch`) is one
+        forward into EVAL form, plus two inverses into COEFF form.  The
+        public-key encryption of zero (:meth:`BFVContext.zero_ciphertext`)
+        is three forwards into EVAL form, or one forward and two inverses.
         """
-        if self._domain is Domain.EVAL:
-            self.tracker.record_transforms(forward=3 * count * self._limbs)
-        else:
+        if self._domain is Domain.COEFF:
             self.tracker.record_transforms(
                 forward=count * self._limbs, inverse=2 * count * self._limbs
+            )
+        else:
+            self.tracker.record_transforms(
+                forward=(3 if public else 1) * count * self._limbs
             )
 
     def _charge_decrypt_transforms(self, handles) -> None:
@@ -167,12 +170,7 @@ class SimulatedHEBackend(HEBackend):
 
     # -- HEBackend interface -------------------------------------------------
     def encrypt(self, values: np.ndarray) -> SimulatedCiphertext:
-        values = self._check_length(values)
-        self.tracker.record("encrypt", bytes_moved=self.params.ciphertext_bytes)
-        self._charge_encrypt_transforms()
-        return SimulatedCiphertext(
-            slots=values.copy(), noise_bound=self._fresh_noise, domain=self._domain
-        )
+        return self.encrypt_batch([values])[0]
 
     def decrypt(self, handle: SimulatedCiphertext) -> np.ndarray:
         if self.noise_budget(handle) <= 0:
@@ -387,7 +385,7 @@ class SimulatedHEBackend(HEBackend):
 
     def zero(self, length: int) -> SimulatedCiphertext:
         self.tracker.record("encrypt", bytes_moved=self.params.ciphertext_bytes)
-        self._charge_encrypt_transforms()
+        self._charge_encrypt_transforms(public=True)
         return SimulatedCiphertext(
             slots=np.zeros(max(1, length), dtype=np.int64),
             noise_bound=self._fresh_noise,
@@ -403,7 +401,7 @@ class SimulatedHEBackend(HEBackend):
         self.tracker.record(
             "encrypt",
             count=len(checked),
-            bytes_moved=len(checked) * self.params.ciphertext_bytes,
+            bytes_moved=len(checked) * self.params.seeded_ciphertext_bytes,
         )
         self._charge_encrypt_transforms(len(checked))
         return [

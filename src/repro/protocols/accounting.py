@@ -53,12 +53,12 @@ class OperationCounts:
     bytes_sent: float = 0.0
     rounds: int = 0
     #: NTT transforms of the evaluation-resident pipeline (one per
-    #: polynomial): three per input ciphertext at encrypt plus one inverse
-    #: per output ciphertext at decrypt -- the plaintext operands are
-    #: pre-transformed at plan time and the multiply-accumulate itself is
-    #: pointwise.  Kept out of the latency conversion (the per-operation
-    #: constants already absorb transform time); surfaced so reports can
-    #: attribute the residency win per step and phase.
+    #: polynomial): one forward per input ciphertext at secret-key encrypt
+    #: plus one inverse per output ciphertext at decrypt -- the plaintext
+    #: operands are pre-transformed at plan time and the multiply-accumulate
+    #: itself is pointwise.  Kept out of the latency conversion (the
+    #: per-operation constants already absorb transform time); surfaced so
+    #: reports can attribute the residency win per step and phase.
     he_ntt_transforms: float = 0.0
 
     def add(self, other: OperationCounts) -> None:
@@ -131,12 +131,12 @@ def _he_matmul_counts(
         he_additions=mults,
         bytes_sent=(input_cts + output_cts) * ciphertext_bytes,
         rounds=2,
-        # Evaluation-resident transform economy: encryption is born in NTT
-        # form (three transforms per input ciphertext), the plaintext
-        # operand transforms are hoisted to plan time, and each output
-        # ciphertext pays exactly one inverse at the decrypt boundary --
-        # each transform once per RNS limb.
-        he_ntt_transforms=(3 * input_cts + output_cts) * limbs,
+        # Evaluation-resident transform economy: secret-key encryption is
+        # born in NTT form (one forward per input ciphertext, its c1 expanded
+        # from a seed), the plaintext operand transforms are hoisted to plan
+        # time, and each output ciphertext pays exactly one inverse at the
+        # decrypt boundary -- each transform once per RNS limb.
+        he_ntt_transforms=(input_cts + output_cts) * limbs,
     )
 
 

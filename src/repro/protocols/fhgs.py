@@ -183,7 +183,7 @@ class FHGSMatmul:
             + len(enc_right_cols.handles)
         )
         self.channel.send(
-            "client", "server", total_cts * self.backend.ciphertext_bytes,
+            "client", "server", total_cts * self.backend.seeded_ciphertext_bytes,
             description="Enc(Rc), Enc(Rc^T)", step=self.step, phase=phase,
         )
 
@@ -203,7 +203,7 @@ class FHGSMatmul:
                 len(enc_left_cols_tiled.handles) + len(enc_right_rows_tiled.handles)
             )
             self.channel.send(
-                "client", "server", tiled_cts * self.backend.ciphertext_bytes,
+                "client", "server", tiled_cts * self.backend.seeded_ciphertext_bytes,
                 description=f"Enc(Rc) tiled x{share_slots}", step=self.step,
                 phase=phase,
             )

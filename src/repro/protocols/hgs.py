@@ -112,12 +112,13 @@ class HGSLinearLayer:
         in_dim, out_dim = self.weights.shape
         modulus = self.sharing.modulus
 
-        # Client: sample Rc and send Enc(Rc) column-packed.
+        # Client: sample Rc and send Enc(Rc) column-packed, seeded (it holds
+        # the key, so its encryptions are secret-key ones).
         client_mask = self._rng.integers(0, modulus, size=(self.input_rows, in_dim), dtype=np.int64)
         encrypted_mask = encrypt_matrix_columns(self.backend, client_mask)
         self.channel.send(
             "client", "server",
-            len(encrypted_mask.handles) * self.backend.ciphertext_bytes,
+            len(encrypted_mask.handles) * self.backend.seeded_ciphertext_bytes,
             description="Enc(Rc)", step=self.step, phase=phase,
         )
 

@@ -762,14 +762,15 @@ class BatchExecutor:
         ops = backend.tracker.request_snapshot(tag)
         # Wire accounting: the column kernel ships one ciphertext per input
         # feature and one per output column; BSGS packs the input into its
-        # block geometry and the whole result into a single ciphertext.
+        # block geometry and the whole result into a single ciphertext.  The
+        # client's fresh encryptions travel seeded (c0 plus c1's seed).
         if use_bsgs:
             input_cts, result_cts = geometry.num_ciphertexts, geometry.out_groups
         else:
             input_cts, result_cts = weights.shape[0], weights.shape[1]
         channel.set_request(tag)
         channel.send(
-            "client", "server", input_cts * backend.ciphertext_bytes,
+            "client", "server", input_cts * backend.seeded_ciphertext_bytes,
             description="Enc(stacked inputs)", step=STEP_LINEAR, phase=Phase.ONLINE,
         )
         channel.send(

@@ -145,7 +145,7 @@ class TestExactBackendEquivalence:
         ev, co = self._twins()
         values = np.arange(20)
         h = ev.encrypt(values)
-        assert ev.tracker.transform_counts() == {NTT_FORWARD: 3, NTT_INVERSE: 0}
+        assert ev.tracker.transform_counts() == {NTT_FORWARD: 1, NTT_INVERSE: 0}
         ev.tracker.reset()
         ev.decrypt(h)  # EVAL decrypt: the single inverse of the hot path
         assert ev.tracker.transform_counts() == {NTT_FORWARD: 0, NTT_INVERSE: 1}

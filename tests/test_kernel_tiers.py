@@ -361,3 +361,11 @@ class TestWarm:
         ctx = get_ntt_context(64, toy_parameters(64).ciphertext_modulus)
         kernels.active_tier(tier).warm(ctx)
         assert getattr(ctx, "_kernel_tables", None) is not None
+
+
+def test_numpy_blas_runs_one_thread_per_process():
+    """The pin takes: numpy's OpenBLAS getter reads back one thread."""
+    threads, reason = kernels.pin_blas_threads()
+    if threads is None:
+        pytest.skip(reason)
+    assert threads == 1

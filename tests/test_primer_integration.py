@@ -4,11 +4,14 @@ paper-scale tables."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines import GCFormerBaseline, THEXBaseline
 from repro.errors import ProtocolError
+from repro.he import BFVParameters, ExactBFVBackend, find_rns_primes
 from repro.nn import BERT_BASE, BERT_TINY, PAPER_MODELS
 from repro.protocols import (
     ALL_VARIANTS,
@@ -31,6 +34,27 @@ def variant_results(tiny_model, tiny_token_ids):
         engine.offline()
         results[variant.name] = engine.run(tiny_token_ids)
     return results
+
+
+class TestVariantsOnRealCiphertexts:
+    @pytest.mark.parametrize("variant", [PRIMER_BASE, PRIMER_F, PRIMER_FP], ids=lambda v: v.name)
+    def test_logits_bit_identical_to_the_simulator(
+        self, variant, variant_results, tiny_model, tiny_token_ids
+    ):
+        """Every HE step on real RLWE ciphertexts (N = 1024, six limbs)."""
+        primes = find_rns_primes(30, 1024, 6)
+        params = BFVParameters(
+            ring_degree=1024, ciphertext_modulus=math.prod(primes),
+            ciphertext_moduli=tuple(primes), plaintext_modulus=1 << 31,
+            error_stddev=1.0, security_bits=0,
+        )
+        engine = PrivateTransformerInference(
+            tiny_model, variant, backend=ExactBFVBackend(params), seed=11
+        )
+        engine.offline()
+        result = engine.run(tiny_token_ids)
+        assert engine.tracker.count("encrypt") > 0
+        assert np.array_equal(result.logits, variant_results[variant.name].logits)
 
 
 class TestPrivateInference:

@@ -372,7 +372,7 @@ class TestTwoLimbEndToEnd:
     def test_serving_linear_path_transform_counts_are_limb_scaled(self):
         """End-to-end serving on the exact backend with two limbs: results
         exact, and tracker transforms equal the limb-scaled closed form
-        ``(3 * input_cts + output_cts) * L`` -- the accounting model's
+        ``(input_cts + output_cts) * L`` -- the accounting model's
         ``he_ntt_transforms`` formula."""
         rng = np.random.default_rng(13)
         weights = rng.integers(0, 7, size=(16, 4))
@@ -400,10 +400,10 @@ class TestTwoLimbEndToEnd:
         # Transform counts scale exactly by the limb count ...
         assert (two_fwd, two_inv) == (2 * one_fwd, 2 * one_inv)
         # ... and match the closed form: 16 input ciphertexts encrypted
-        # EVAL-native (3 forwards each per limb), 4 output ciphertexts
+        # EVAL-native (1 forward each per limb), 4 output ciphertexts
         # inverse-transformed once each per limb at the decrypt boundary.
         input_cts, output_cts = 16, 4
-        assert two_fwd == 3 * input_cts * 2
+        assert two_fwd == input_cts * 2
         assert two_inv == output_cts * 2
         # Rotations are whole-ciphertext ops: limb-independent.
         assert two_rot == one_rot
